@@ -410,7 +410,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _apply_overrides(load_experiment(args.config), args)
     rows = [SIMULATE_HEADER]
     for mech in _mechanisms(spec):
-        summary = monte_carlo(spec.sim_config(mech), threads=args.threads)
+        summary = monte_carlo(spec.sim_config(mech))
         gamma = "" if summary.gamma is None else _fmt(summary.gamma)
         rows.append(
             ",".join(
@@ -439,7 +439,7 @@ def cmd_histogram(args: argparse.Namespace) -> int:
         raise ConfigError("histograms are defined for the discounted metric")
     rows = [HISTOGRAM_HEADER]
     for mech in _mechanisms(spec):
-        summary = monte_carlo(spec.sim_config(mech), threads=args.threads)
+        summary = monte_carlo(spec.sim_config(mech))
         for b in summary.histogram(spec.bin_width):
             rows.append(
                 ",".join(
@@ -583,7 +583,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--trials", type=int, default=None, help="override the trial count")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for trials")
         p.add_argument("--check", action="store_true", help="verify instead of overwrite")
 
     p_solve = sub.add_parser("solve", help="solve the decision model and write a policy file")

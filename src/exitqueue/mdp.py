@@ -594,7 +594,7 @@ def queue_to_mdp_state(
     """Clamped count view of a live queue for policy lookup."""
     w_low = sum(1 for r in state.waiting if r.cost == arrival_model.cost_low)
     w_high = sum(1 for r in state.waiting if r.cost == arrival_model.cost_high)
-    recent = state.processed_totals[-(window - 1):] if window > 1 else ()
+    recent = state.recent_totals(window - 1)
     hist = tuple(reversed(recent)) + (0,) * (window - 1 - len(recent))
     return MdpState(min(w_low, cap), min(w_high, cap), hist)
 
@@ -795,7 +795,7 @@ def vcg_estimate(
     ahead0 = next(i for i, r in enumerate(order) if r.validator == agent.validator)
     w_low0 = sum(1 for r in state.waiting if r.cost == arrival_model.cost_low)
     w_high0 = sum(1 for r in state.waiting if r.cost == arrival_model.cost_high)
-    recent = state.processed_totals[-(space.window - 1):] if space.window > 1 else ()
+    recent = state.recent_totals(space.window - 1)
     hist0 = tuple(reversed(recent)) + (0,) * (space.window - 1 - len(recent))
 
     exact = arrival_model.is_deterministic()

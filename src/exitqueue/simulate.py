@@ -17,8 +17,7 @@ recorded. Two metrics summarize a trial:
     backlog matters (reports note this rule).
 
 monte_carlo runs trials at seeds seed, seed+1, ... and aggregates one metric.
-Trials are independent; parallel and serial execution produce identical
-summaries. Count-only configurations (two cost levels, unit stakes, one
+Trials are independent. Count-only configurations (two cost levels, unit stakes, one
 absolute constraint, a priority mechanism, discounted metric) are routed
 through a vectorized engine that replays bit-identical arrival streams; its
 equivalence with the object engine is pinned by tests.
@@ -27,7 +26,6 @@ equivalence with the object engine is pinned by tests.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -312,11 +310,11 @@ def _summarize(values: Sequence[float], config: SimulationConfig) -> MonteCarloS
     )
 
 
-def monte_carlo(config: SimulationConfig, threads: int = 1) -> MonteCarloSummary:
+def monte_carlo(config: SimulationConfig) -> MonteCarloSummary:
     """Run `trials` trials at seeds seed, seed+1, ... and aggregate the metric.
 
     Every trial's trace is audited against the constraint set before
-    aggregation. Thread count changes execution only, never results.
+    aggregation.
     """
     if _fastlane_eligible(config):
         streams, traces = _fastlane_arrays(config)
@@ -324,14 +322,9 @@ def monte_carlo(config: SimulationConfig, threads: int = 1) -> MonteCarloSummary
         values = [_discounted(streams[i], config.discount) for i in range(config.trials)]
         return _summarize(values, config)
 
-    seeds = [config.seed + i for i in range(config.trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: run_trial(config, s), seeds))
-    else:
-        results = [run_trial(config, s) for s in seeds]
     values = []
-    for r in results:
+    for i in range(config.trials):
+        r = run_trial(config, config.seed + i)
         _audit_trace(
             r.trace, r.final_state.stake_history, config.constraints, config.mechanism.name
         )

@@ -123,7 +123,7 @@ def test_simulate_output_is_byte_identical_across_runs(tmp_path) -> None:
     cfg = _config(tmp_path)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(a)]) == 0
-    assert main(["simulate", "--config", str(cfg), "--out", str(b), "--threads", "4"]) == 0
+    assert main(["simulate", "--config", str(cfg), "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -92,6 +92,14 @@ def test_capacity_fraction_floors_exactly() -> None:
     assert capacity(exact_fraction(0.1), ConstraintMode.FRACTION_OF_STAKE, 450) == 45
 
 
+@given(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    st.integers(0, 10**9),
+)
+def test_capacity_fraction_is_the_exact_floor(delta, stake) -> None:
+    assert capacity(delta, ConstraintMode.FRACTION_OF_STAKE, stake) == math.floor(delta * stake)
+
+
 def test_capacity_absolute_ignores_basis() -> None:
     assert capacity(Fraction(2), ConstraintMode.ABSOLUTE_COUNT, None) == 2
     with pytest.raises(ConfigError):
@@ -252,6 +260,100 @@ def test_step_tracks_stake_history() -> None:
     assert nxt.total_stake == 8
 
 
+def test_step_past_absolute_initial_stake_raises() -> None:
+    # Absolute capacity ignores the stake, so only the history check can
+    # stop a step that would drive the tracked stake below zero.
+    cs = _abs([(5, 1)])
+    reqs = [_unit(f"v{i}", 1) for i in range(3)]
+    state = QueueState.initial(cs, total_stake=2, arrivals=reqs)
+    with pytest.raises(ConfigError):
+        step(state, (), reqs)
+    assert step(state, (), reqs[:2]).stake_history == (2, 0)
+
+
+def _check_against_constructor(state, waiting, totals, stakes) -> None:
+    """``state`` equals the state the public constructor builds from the
+    same history, and its slacks equal the direct window sums."""
+    ref = QueueState(
+        constraints=state.constraints,
+        period=len(totals) + 1,
+        waiting=waiting,
+        processed_totals=totals,
+        stake_history=stakes,
+    )
+    assert state == ref
+    assert hash(state) == hash(ref)
+    assert repr(state) == repr(ref)
+    assert (state.processed_totals, state.stake_history) == (totals, stakes)
+    for n in range(4):
+        assert state.recent_totals(n) == (totals[-n:] if n else ())
+    t = state.period
+    for i, c in enumerate(state.constraints):
+        anchor = max(0, t - c.window)
+        if state.constraints.mode is ConstraintMode.ABSOLUTE_COUNT:
+            cap = int(c.delta)
+        else:
+            cap = math.floor(c.delta * stakes[anchor])
+        assert slack(i, state) == cap - sum(totals[anchor:])
+
+
+@given(st.sampled_from(list(ConstraintMode)), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_step_matches_public_constructor(mode, unit_stakes, data) -> None:
+    """Random walks that step some states more than once.
+
+    Stepping a state that already has a successor forks the shared history,
+    so every state built, early or late, on any branch, is re-checked at the
+    end as well as when it is built.
+    """
+    draw = data.draw
+    n = draw(st.integers(1, 3), label="constraints")
+    if mode is ConstraintMode.FRACTION_OF_STAKE:
+        cons = [
+            Constraint(Fraction(draw(st.integers(0, 6)), 6), draw(st.integers(1, 4)))
+            for _ in range(n)
+        ]
+        genesis = draw(st.integers(0, 30), label="genesis")
+    else:
+        cons = [Constraint(draw(st.integers(0, 5)), draw(st.integers(1, 4))) for _ in range(n)]
+        genesis = draw(st.none() | st.integers(0, 12), label="genesis")
+    cs = ConstraintSet(cons, mode)
+
+    def batch(t: int) -> list[ExitRequest]:
+        k = draw(st.integers(0, 3), label=f"arrivals@{t}")
+        stakes = [1 if unit_stakes else draw(st.integers(1, 3)) for _ in range(k)]
+        return [_unit(f"p{t}.{i}", t, cost=float(i), stake=s) for i, s in enumerate(stakes)]
+
+    first = tuple(batch(1))
+    history = None if genesis is None else (genesis,)
+    built = [(QueueState.initial(cs, total_stake=genesis, arrivals=first), first, (), history)]
+    for _ in range(draw(st.integers(1, 12), label="steps")):
+        last = len(built) - 1
+        pick = draw(st.just(last) | st.integers(0, last), label="state to step")
+        state, _, totals, stakes = built[pick]
+        t = state.period
+        fits, used = [], 0
+        for r in state.waiting:
+            if used + r.stake > min_slack(state):
+                break
+            fits.append(r)
+            used += r.stake
+        chosen = fits[: draw(st.integers(0, len(fits)), label=f"take@{t}")]
+        taken = sum(r.stake for r in chosen)
+        arrivals = tuple(batch(t + 1))
+        if stakes is not None and taken > stakes[-1]:
+            with pytest.raises(ConfigError):
+                step(state, arrivals, chosen)
+            continue
+        nxt = step(state, arrivals, chosen)
+        waiting = tuple(r for r in state.waiting if r not in chosen) + arrivals
+        history = None if stakes is None else stakes + (stakes[-1] - taken,)
+        built.append((nxt, waiting, totals + (taken,), history))
+        _check_against_constructor(*built[-1])
+    for entry in built:
+        _check_against_constructor(*entry)
+
+
 # =============================================================
 # State validation
 # =============================================================
@@ -279,6 +381,13 @@ def test_constraint_validation() -> None:
         ConstraintSet([Constraint("1.5", 2)], ConstraintMode.FRACTION_OF_STAKE)
     with pytest.raises(ConfigError):
         ConstraintSet([Constraint("0.5", 2)], ConstraintMode.ABSOLUTE_COUNT)
+
+
+def test_state_is_immutable() -> None:
+    state = QueueState.initial(_abs([(2, 3)]))
+    with pytest.raises(AttributeError):
+        state.period = 2
+    assert step(state, (), ()).period == 2
 
 
 def test_state_validation() -> None:

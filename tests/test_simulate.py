@@ -343,11 +343,6 @@ def test_monte_carlo_seeds_trials_consecutively() -> None:
         assert summary.values[i] == want
 
 
-def test_monte_carlo_threads_do_not_change_results() -> None:
-    config = _flagship(Mechanism.minslack(), steps=40, trials=8)
-    assert monte_carlo(config, threads=4) == monte_carlo(config, threads=1)
-
-
 def test_monte_carlo_summary_statistics() -> None:
     config = _flagship(Mechanism.prio_minslack(), steps=30, trials=64)
     s = monte_carlo(config)

@@ -6,98 +6,21 @@ provides:
 
   * core: queue state, slack computation, and the feasibility auditor.
   * mechanisms: MINSLACK and its prioritized/scaled variants plus a
-    fixed-rate baseline.
+    fixed-rate baseline, each a queue order plus a capacity map.
   * mdp: the exact two-cost-class decision model, value iteration, the
     solved-policy mechanism, and marginal-externality payments.
   * simulate: seeded trials, the discounted and steady-state metrics,
     Monte Carlo aggregation, and brute-force schedule enumeration.
   * cli: `exitqueue` batch commands (solve / simulate / histogram /
     policy-diff / verify) over INI experiment configs.
+
+The names below are the ones the README's library tour uses; everything
+else is imported from its module.
 """
 
-from .core import (
-    Constraint,
-    ConstraintMode,
-    ConstraintSet,
-    ExitRequest,
-    QueueState,
-    capacity,
-    check_trace_feasible,
-    exact_fraction,
-    min_slack,
-    replace_constraints,
-    slack,
-    step,
-)
-from .distributions import (
-    Discrete,
-    ExpConvention,
-    Exponential,
-    Pareto,
-    ParetoConvention,
-    Uniform,
-    ValueDistribution,
-)
-from .errors import (
-    ConfigError,
-    ExitQueueError,
-    FeasibilityViolation,
-    IllegalAction,
-    InfeasibleProcessing,
-    InstanceTooLarge,
-    InvalidAlpha,
-    LengthMismatch,
-    ModelMismatch,
-    NegativeProcessed,
-    NonConvergence,
-    NoWithdrawals,
-    UnknownRequest,
-)
-from .mechanisms import (
-    Mechanism,
-    MechanismKind,
-    alpha_capacity,
-    round_half_down,
-    select_alpha_minslack,
-    select_constant,
-    select_minslack,
-    select_prio_minslack,
-)
-from .mdp import (
-    ArrivalModel,
-    MdpModel,
-    MdpState,
-    OptimalMechanism,
-    Policy,
-    StateSpace,
-    VcgEstimate,
-    action_values,
-    build_model,
-    build_transitions,
-    enumerate_states,
-    legal_actions,
-    load_policy,
-    optimal_select,
-    policy_text,
-    reward,
-    save_policy,
-    value_iteration,
-    vcg_estimate,
-    vcg_payment,
-)
-from .simulate import (
-    HistogramBin,
-    MonteCarloSummary,
-    SimulationConfig,
-    TrialResult,
-    brute_force_schedules,
-    discounted_reward,
-    make_histogram,
-    monte_carlo,
-    run_trial,
-    sample_arrival_schedule,
-    sample_arrivals,
-    steady_state_disutility,
-)
+from .core import Constraint, ConstraintMode, ConstraintSet, ExitRequest, QueueState, step
+from .mdp import OptimalMechanism, enumerate_states, vcg_estimate
+from .mechanisms import Mechanism
+from .simulate import brute_force_schedules, make_histogram, monte_carlo, run_trial
 
 __version__ = "0.1.0"

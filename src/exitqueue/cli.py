@@ -55,7 +55,7 @@ from .errors import (
     NonConvergence,
     UnknownRequest,
 )
-from .mechanisms import Mechanism, alpha_capacity, select_minslack
+from .mechanisms import Mechanism, alpha_capacity
 from .mdp import (
     ArrivalModel,
     OptimalMechanism,
@@ -65,6 +65,7 @@ from .mdp import (
     legal_actions,
     load_policy,
     policy_text,
+    save_policy,
     value_iteration,
 )
 from .simulate import SimulationConfig, brute_force_schedules, monte_carlo
@@ -324,14 +325,14 @@ def _materialize_policy(spec: ExperimentSpec) -> Policy:
             and policy.tolerance == spec.policy.tolerance
         )
         if not ok:
-            raise ConfigError(
+            raise ModelMismatch(
                 f"cached policy {cache} was solved for different parameters; "
                 "delete it or point [policy] path elsewhere"
             )
         return policy
     policy = _solve(spec)
     cache.parent.mkdir(parents=True, exist_ok=True)
-    cache.write_text(policy_text(policy), encoding="ascii")
+    save_policy(policy, cache)
     return policy
 
 
@@ -376,7 +377,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if spec.policy is None:
         raise ConfigError("config has no [policy] section to solve")
     policy = _solve(spec)
-    text = policy_text(policy)
     info = policy.info
     print(
         f"states={policy.space.n} iterations={info.iterations} residual={info.residual:.3e}"
@@ -385,21 +385,21 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.check:
         if not target.exists():
             raise ConfigError(f"--check: no existing policy file at {target}")
-        if target.read_bytes() != text.encode("ascii"):
+        if target.read_bytes() != policy_text(policy).encode("ascii"):
             raise FeasibilityViolation(f"policy file {target} does not match regeneration")
         print(f"check ok: {target} matches regeneration")
         return EXIT_OK
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(text, encoding="ascii")
+    save_policy(policy, target)
     print(f"wrote {target}")
     return EXIT_OK
 
 
 def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
     changes = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         changes["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
+    if args.trials is not None:
         changes["trials"] = args.trials
     if not changes:
         return spec
@@ -538,7 +538,7 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
         state = QueueState.initial(cs, arrivals=[r for r in reqs if r.requested_at == 1])
         trace = []
         for t in range(1, horizon + 1):
-            sel = select_minslack(state)
+            sel = Mechanism.minslack().select(state)
             arrivals = [r for r in reqs if r.requested_at == t + 1]
             state = step(state, arrivals, sel)
             trace.append(len(sel))
@@ -578,32 +578,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
+    def config_and_out(p: argparse.ArgumentParser, config_required: bool = True) -> None:
         p.add_argument("--config", required=config_required, help="experiment config file")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+
+    def overrides(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--trials", type=int, default=None, help="override the trial count")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--check", action="store_true", help="verify instead of overwrite")
 
     p_solve = sub.add_parser("solve", help="solve the decision model and write a policy file")
-    common(p_solve)
+    config_and_out(p_solve)
+    p_solve.add_argument("--check", action="store_true", help="verify instead of overwrite")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sim = sub.add_parser("simulate", help="run the configured mechanisms, emit CSV")
-    common(p_sim)
+    config_and_out(p_sim)
+    overrides(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_hist = sub.add_parser("histogram", help="emit binned metric densities as CSV")
-    common(p_hist)
+    config_and_out(p_hist)
+    overrides(p_hist)
     p_hist.set_defaults(func=cmd_histogram)
 
     p_diff = sub.add_parser("policy-diff", help="compare a policy file to greedy slack filling")
     p_diff.add_argument("policy", nargs="?", default=None, help="policy file path")
-    common(p_diff, config_required=False)
+    config_and_out(p_diff, config_required=False)
     p_diff.set_defaults(func=cmd_policy_diff)
 
     p_verify = sub.add_parser("verify", help="run built-in invariant cross-checks")
-    common(p_verify, config_required=False)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

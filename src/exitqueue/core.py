@@ -170,6 +170,7 @@ class ExitRequest:
 
 def _validate_waiting(waiting: Sequence[ExitRequest], period: int) -> None:
     seen: set[str] = set()
+    last = 1
     for r in waiting:
         if r.validator in seen:
             raise ConfigError(f"duplicate validator id in waiting list: {r.validator}")
@@ -179,13 +180,20 @@ def _validate_waiting(waiting: Sequence[ExitRequest], period: int) -> None:
                 f"request {r.validator} has requested_at={r.requested_at} "
                 f"after current period {period}"
             )
+        if r.requested_at < last:
+            raise ConfigError(
+                f"waiting list is not in arrival order: {r.validator} "
+                f"(requested_at={r.requested_at}) follows a request from period {last}"
+            )
+        last = r.requested_at
 
 
 class QueueState:
     """Immutable snapshot of the queue at the start of a period.
 
     ``waiting`` already contains the current period's arrivals and is kept
-    in arrival order. ``processed_totals`` covers periods 1..period-1.
+    in arrival order (``requested_at`` never goes down; the constructor
+    checks it). ``processed_totals`` covers periods 1..period-1.
     ``stake_history`` is None when no fraction constraint needs it.
 
     The constructor validates everything; ``step`` builds successors through
@@ -385,23 +393,9 @@ def slack(i: int, state: QueueState) -> int:
     return cap - state._window_sums[i]
 
 
-def min_slack(state: QueueState, constraints: ConstraintSet | None = None) -> int:
+def min_slack(state: QueueState) -> int:
     """Binding capacity for the current period: min over constraints, >= 0."""
-    cs = state.constraints if constraints is None else constraints
-    if cs is not state.constraints:
-        state = replace_constraints(state, cs)
     return max(0, min(slack(i, state) for i in range(len(state.constraints))))
-
-
-def replace_constraints(state: QueueState, constraints: ConstraintSet) -> QueueState:
-    """View of the same trace under a different constraint set."""
-    return QueueState(
-        constraints=constraints,
-        period=state.period,
-        waiting=state.waiting,
-        processed_totals=state.processed_totals,
-        stake_history=state.stake_history,
-    )
 
 
 # =============================================================

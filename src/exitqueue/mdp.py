@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -44,6 +46,7 @@ from .errors import (
     NonConvergence,
     UnknownRequest,
 )
+from .mechanisms import _by_cost_desc
 
 __all__ = [
     "MdpState",
@@ -219,6 +222,24 @@ class StateSpace:
         return (wl * (self.cap + 1) + wh) * self.n_hist + hi
 
 
+def serve(
+    w_low: np.ndarray, w_high: np.ndarray, hist: np.ndarray, take: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The count dynamics of one period: serve ``take`` highs first, spill
+    the rest to lows, and push ``take`` onto the window history.
+
+    Works elementwise on any matching shapes; ``hist[..., j]`` is the total
+    processed j+1 periods ago. Returns the waiting counts left, the shifted
+    history, and the lows and highs served. Arrivals are the caller's to add,
+    and clamping at ``cap`` is left to ``StateSpace.encode_arrays``.
+    """
+    done_high = np.minimum(take, w_high)
+    done_low = np.minimum(take - done_high, w_low)
+    if hist.shape[-1]:
+        hist = np.concatenate([np.expand_dims(take, -1), hist[..., :-1]], axis=-1)
+    return w_low - done_low, w_high - done_high, hist, done_low, done_high
+
+
 def reward(
     state: MdpState,
     action: int,
@@ -232,10 +253,10 @@ def reward(
         raise IllegalAction(
             f"action {action} breaks budget {budget} with history {state.history}"
         )
-    high_left = max(state.w_high - action, 0)
-    spill = max(action - state.w_high, 0)
-    low_left = max(state.w_low - spill, 0)
-    return -(arrival_model.cost_high * high_left + arrival_model.cost_low * low_left)
+    low_left, high_left, _, _, _ = serve(
+        np.int64(state.w_low), np.int64(state.w_high), np.empty(0, np.int64), np.int64(action)
+    )
+    return float(-(arrival_model.cost_high * high_left + arrival_model.cost_low * low_left))
 
 
 # =============================================================
@@ -287,52 +308,48 @@ def build_transitions(
 
     After processing, each arrival count k (with probability P[Y=k]) splits
     into j high-cost arrivals with Binomial(k, high_prob) weight; counts
-    saturate at cap and merged successors accumulate probability.
+    saturate at cap and merged successors accumulate probability. Each
+    state's successors are listed in the order the outcomes (k, j) first
+    reach them, and merged probabilities are summed in that order.
     """
     space = StateSpace(cap, budget, window)
-    splits = {k: _binomial_pmf(k, arrival_model.high_prob) for k, _ in arrival_model.count_dist}
+    outcomes = [
+        (k - j, j, pk * pj)
+        for k, pk in arrival_model.count_dist
+        if pk != 0.0
+        for j, pj in enumerate(_binomial_pmf(k, arrival_model.high_prob))
+    ]
+    lows, highs, probs = map(np.asarray, zip(*[o for o in outcomes if o[2] != 0.0]))
+    counts = np.arange(cap + 1, dtype=np.int64)
+    hists = np.asarray(space._hists, dtype=np.int64).reshape(space.n_hist, window - 1)
+    w_low = np.repeat(counts, (cap + 1) * space.n_hist)
+    w_high = np.tile(np.repeat(counts, space.n_hist), cap + 1)
+    hist = np.tile(hists, ((cap + 1) ** 2, 1))
 
     by_action = []
     for a in range(budget + 1):
-        legal = np.zeros(space.n, dtype=bool)
+        legal = hist.sum(axis=1) + a <= budget
+        src = np.flatnonzero(legal)
+        low_left, high_left, nxt_hist, _, _ = serve(
+            w_low[src], w_high[src], hist[src], np.full(src.size, a, dtype=np.int64)
+        )
         rewards = np.zeros(space.n, dtype=np.float64)
-        src: list[int] = []
-        dst: list[int] = []
-        prob: list[float] = []
-        for idx, s in enumerate(space.states):
-            if sum(s.history) + a > budget:
-                continue
-            legal[idx] = True
-            rewards[idx] = reward(s, a, arrival_model)
-            high_left = max(s.w_high - a, 0)
-            low_left = max(s.w_low - max(a - s.w_high, 0), 0)
-            hist = (a,) + s.history[:-1] if window > 1 else ()
-            merged: dict[int, float] = {}
-            for k, pk in arrival_model.count_dist:
-                if pk == 0.0:
-                    continue
-                pmf = splits[k]
-                for j in range(k + 1):
-                    pj = pk * pmf[j]
-                    if pj == 0.0:
-                        continue
-                    nxt = MdpState(
-                        min(low_left + (k - j), cap),
-                        min(high_left + j, cap),
-                        hist,
-                    )
-                    ni = space.encode(nxt)
-                    merged[ni] = merged.get(ni, 0.0) + pj
-            for ni, pj in merged.items():
-                src.append(idx)
-                dst.append(ni)
-                prob.append(pj)
+        rewards[src] = -(arrival_model.cost_high * high_left + arrival_model.cost_low * low_left)
+        dst = space.encode_arrays(
+            low_left[:, None] + lows, high_left[:, None] + highs, nxt_hist[:, None, :]
+        )
+        # Merge equal successors of a state: one key per (state, successor),
+        # kept in first-occurrence order and summed in outcome order.
+        key = (src[:, None] * space.n + dst).ravel()
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        merged = np.bincount(inverse, weights=np.tile(probs, src.size))
+        order = np.argsort(first)
         by_action.append(
             ActionTransitions(
                 legal=legal,
-                src=np.asarray(src, dtype=np.int64),
-                dst=np.asarray(dst, dtype=np.int64),
-                prob=np.asarray(prob, dtype=np.float64),
+                src=key[first[order]] // space.n,
+                dst=key[first[order]] % space.n,
+                prob=merged[order],
                 reward=rewards,
             )
         )
@@ -505,9 +522,20 @@ def policy_text(policy: Policy) -> str:
 
 
 def save_policy(policy: Policy, path) -> None:
-    """Write the flat policy file (format under policy_text)."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(policy_text(policy))
+    """Write the flat policy file (format under policy_text).
+
+    The text goes to a temporary file beside ``path`` that then replaces it,
+    so a reader never sees a partly written policy.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x", encoding="ascii", newline="\n") as fh:
+            fh.write(policy_text(policy))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_policy(path) -> Policy:
@@ -564,13 +592,9 @@ def load_policy(path) -> Policy:
 # =============================================================
 
 
-def _expected_constraints(space: StateSpace) -> tuple[int, int]:
-    return space.budget, space.window
-
-
 def _validate_queue(policy: Policy, state: QueueState, arrival_model: ArrivalModel) -> None:
     cs = state.constraints
-    budget, window = _expected_constraints(policy.space)
+    budget, window = policy.space.budget, policy.space.window
     ok = (
         cs.mode is ConstraintMode.ABSOLUTE_COUNT
         and len(cs) == 1
@@ -599,11 +623,6 @@ def queue_to_mdp_state(
     return MdpState(min(w_low, cap), min(w_high, cap), hist)
 
 
-def _priority_order(waiting: Sequence[ExitRequest]) -> list[ExitRequest]:
-    # Highest cost first, FCFS within equal cost (waiting is arrival-ordered).
-    return sorted(waiting, key=lambda r: -r.cost)
-
-
 def optimal_select(
     policy: Policy,
     state: QueueState,
@@ -623,7 +642,7 @@ def optimal_select(
     mstate = queue_to_mdp_state(state, arrival_model, space.cap, space.budget, space.window)
     action = policy.action_of(mstate)
     take = min(action, len(state.waiting))
-    return tuple(_priority_order(state.waiting)[:take])
+    return tuple(_by_cost_desc(state.waiting, "cost")[:take])
 
 
 @dataclass(frozen=True)
@@ -637,11 +656,7 @@ class OptimalMechanism:
     def name(self) -> str:
         return "optimal"
 
-    def select(
-        self, state: QueueState, constraints: ConstraintSet | None = None
-    ) -> tuple[ExitRequest, ...]:
-        if constraints is not None and constraints != state.constraints:
-            raise ModelMismatch("optimal mechanism audits the state's own constraints")
+    def select(self, state: QueueState) -> tuple[ExitRequest, ...]:
         return optimal_select(self.policy, state, self.arrival_model)
 
     def model_constraints(self) -> ConstraintSet:
@@ -707,11 +722,7 @@ def _advance_branch(
             br.agent_ahead,
         )
 
-    done_high = np.minimum(action, br.w_high)
-    done_low = np.minimum(action - done_high, br.w_low)
-    br.w_high = br.w_high - done_high
-    br.w_low = br.w_low - done_low
-
+    br.w_low, br.w_high, br.hist, _, _ = serve(br.w_low, br.w_high, br.hist, action)
     total_cost = model.cost_low * br.w_low + model.cost_high * br.w_high
     if br.agent_active is not None:
         waiting_after = br.agent_active & ~processed_now
@@ -720,10 +731,6 @@ def _advance_branch(
     else:
         others = total_cost.astype(np.float64)
 
-    if space.window > 1:
-        br.hist = np.concatenate(
-            [ (done_high + done_low)[:, None], br.hist[:, :-1] ], axis=1
-        )
     # New arrivals; future high arrivals outrank a still-waiting low agent.
     if br.agent_active is not None and not agent_is_high:
         br.agent_ahead = br.agent_ahead + np.where(br.agent_active, highs, 0)
@@ -791,7 +798,7 @@ def vcg_estimate(
         horizon = max(1, math.ceil(math.log(1e-10) / math.log(gamma)))
 
     agent_is_high = arrival_model.cost_class(agent.cost) == "high"
-    order = _priority_order(state.waiting)
+    order = _by_cost_desc(state.waiting, "cost")
     ahead0 = next(i for i, r in enumerate(order) if r.validator == agent.validator)
     w_low0 = sum(1 for r in state.waiting if r.cost == arrival_model.cost_low)
     w_high0 = sum(1 for r in state.waiting if r.cost == arrival_model.cost_high)

@@ -1,14 +1,13 @@
 """Withdrawal mechanisms: which waiting requests get processed each period.
 
-All four mechanisms share one shape: order the waiting list, then take the
-largest prefix whose total stake fits a capacity. They differ in ordering
-(FCFS vs cost-descending) and in how the capacity is derived from the
-sliding-window slack:
+Every mechanism is a queue order plus a capacity map: order the waiting
+list, then take the largest prefix whose total stake fits the capacity
+that the mechanism derives from the sliding-window slack (min_slack):
 
-  * MINSLACK: FCFS order, capacity = min_slack.
-  * PRIO-MINSLACK: cost-descending order, capacity = min_slack.
-  * alpha-MINSLACK: cost-descending, capacity = round_half_down(alpha * min_slack).
-  * CONSTANT(rate): cost-descending, capacity = min(rate, min_slack).
+  * MINSLACK: FCFS order, capacity = slack.
+  * PRIO-MINSLACK: cost-descending order, capacity = slack.
+  * alpha-MINSLACK: cost-descending, capacity = round_half_down(alpha * slack).
+  * CONSTANT(rate): cost-descending (or FCFS), capacity = min(rate, slack).
 
 Prefixes are strict: the scan stops at the first request that does not fit,
 even if a later, smaller request would. All reproduced experiments use unit
@@ -17,31 +16,18 @@ stakes, where strict prefix and greedy fill coincide.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Sequence
 
-from .core import (
-    ConstraintSet,
-    ExitRequest,
-    QueueState,
-    RationalLike,
-    exact_fraction,
-    min_slack,
-)
+from .core import ExitRequest, QueueState, RationalLike, exact_fraction, min_slack
 from .errors import ConfigError, InvalidAlpha
 
 __all__ = [
-    "MechanismKind",
     "Mechanism",
     "round_half_down",
     "alpha_capacity",
-    "select_minslack",
-    "select_prio_minslack",
-    "select_alpha_minslack",
-    "select_constant",
 ]
 
 
@@ -58,30 +44,19 @@ def alpha_capacity(alpha: RationalLike, slack_value: int) -> int:
     return round_half_down(a * slack_value)
 
 
-def _fcfs(waiting: Iterable[ExitRequest]) -> list[ExitRequest]:
-    # Stable sort: equal requested_at keeps arrival insertion order.
-    return sorted(waiting, key=lambda r: r.requested_at)
+def _fcfs(waiting: Sequence[ExitRequest]) -> Sequence[ExitRequest]:
+    # QueueState keeps its waiting list in arrival order.
+    return waiting
 
 
-def _by_cost_desc(waiting: Iterable[ExitRequest], sort_key: str) -> list[ExitRequest]:
+def _by_cost_desc(waiting: Sequence[ExitRequest], sort_key: str) -> list[ExitRequest]:
+    # One stable sort of the arrival-ordered list: equal keys stay FCFS.
     if sort_key == "cost":
-        keyfn = lambda r: -r.cost
-    elif sort_key == "bid":
-        keyfn = lambda r: -r.bid
-    else:
-        raise ConfigError(f"unknown sort key {sort_key!r} (expected 'cost' or 'bid')")
-    return sorted(_fcfs(waiting), key=keyfn)
+        return sorted(waiting, key=lambda r: -r.cost)
+    return sorted(waiting, key=lambda r: -r.bid)
 
 
-def _ordered(waiting: Iterable[ExitRequest], sort_key: str) -> list[ExitRequest]:
-    # "fcfs" is only meaningful for the fixed-rate baseline, where it turns
-    # the mechanism into a plain rate limiter with no view of costs.
-    if sort_key == "fcfs":
-        return _fcfs(waiting)
-    return _by_cost_desc(waiting, sort_key)
-
-
-def _prefix(ordered: list[ExitRequest], capacity: int) -> tuple[ExitRequest, ...]:
+def _prefix(ordered: Sequence[ExitRequest], capacity: int) -> tuple[ExitRequest, ...]:
     """Largest strict prefix whose total stake fits the capacity."""
     taken: list[ExitRequest] = []
     used = 0
@@ -93,124 +68,60 @@ def _prefix(ordered: list[ExitRequest], capacity: int) -> tuple[ExitRequest, ...
     return tuple(taken)
 
 
-def _slack_for(state: QueueState, constraints: ConstraintSet | None) -> int:
-    return min_slack(state, constraints)
-
-
-def select_minslack(
-    state: QueueState, constraints: ConstraintSet | None = None
-) -> tuple[ExitRequest, ...]:
-    """FCFS prefix of the waiting list fitting within min_slack."""
-    return _prefix(_fcfs(state.waiting), _slack_for(state, constraints))
-
-
-def select_prio_minslack(
-    state: QueueState,
-    constraints: ConstraintSet | None = None,
-    *,
-    sort_key: str = "cost",
-) -> tuple[ExitRequest, ...]:
-    """Cost-descending prefix fitting within min_slack.
-
-    ``sort_key='bid'`` gives the pay-your-bid variant; the default sorts by
-    reported waiting cost. Ties keep FCFS order either way.
-    """
-    return _prefix(_by_cost_desc(state.waiting, sort_key), _slack_for(state, constraints))
-
-
-def select_alpha_minslack(
-    state: QueueState,
-    alpha: RationalLike,
-    constraints: ConstraintSet | None = None,
-    *,
-    sort_key: str = "cost",
-) -> tuple[ExitRequest, ...]:
-    """PRIO-MINSLACK with capacity scaled to round_half_down(alpha * min_slack)."""
-    cap = alpha_capacity(alpha, _slack_for(state, constraints))
-    return _prefix(_by_cost_desc(state.waiting, sort_key), cap)
-
-
-def select_constant(
-    state: QueueState,
-    rate: int,
-    constraints: ConstraintSet | None = None,
-    *,
-    sort_key: str = "cost",
-) -> tuple[ExitRequest, ...]:
-    """Fixed-rate baseline: prefix fitting min(rate, min_slack).
-
-    Defaults to cost-descending order like the other prioritized variants;
-    ``sort_key='fcfs'`` makes it a plain rate limiter (the usual baseline in
-    comparison experiments).
-    """
-    if rate < 1:
-        raise ConfigError(f"rate must be a positive integer, got {rate}")
-    cap = min(int(rate), _slack_for(state, constraints))
-    return _prefix(_ordered(state.waiting, sort_key), cap)
-
-
-class MechanismKind(enum.Enum):
-    MINSLACK = "minslack"
-    PRIO_MINSLACK = "prio-minslack"
-    ALPHA_MINSLACK = "alpha-minslack"
-    CONSTANT = "constant"
+def _priority_key(sort_key: str) -> str:
+    if sort_key not in ("cost", "bid"):
+        raise ConfigError(f"unknown sort key {sort_key!r} (expected 'cost' or 'bid')")
+    return sort_key
 
 
 @dataclass(frozen=True)
 class Mechanism:
-    """A selection rule plus its parameters, usable as a callable policy.
+    """A queue order plus a capacity map; ``select`` applies both.
 
-    Build via the factory classmethods; ``select`` dispatches to the module
-    functions above.
+    ``order`` is ``"fcfs"`` (arrival order), ``"cost"`` or ``"bid"``
+    (highest first, FCFS among equals). Build via the factory classmethods.
     """
 
-    kind: MechanismKind
+    name: str
+    order: str
     alpha: Fraction | None = None
     rate: int | None = None
-    sort_key: str = "cost"
-
-    def __post_init__(self) -> None:
-        if self.kind is MechanismKind.ALPHA_MINSLACK:
-            if self.alpha is None or not 0 < self.alpha <= 1:
-                raise InvalidAlpha(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.kind is MechanismKind.CONSTANT:
-            if self.rate is None or self.rate < 1:
-                raise ConfigError(f"constant mechanism needs a positive rate, got {self.rate}")
-        allowed = ("cost", "bid", "fcfs") if self.kind is MechanismKind.CONSTANT else ("cost", "bid")
-        if self.sort_key not in allowed:
-            raise ConfigError(f"sort key {self.sort_key!r} not valid for {self.kind.value}")
 
     @classmethod
     def minslack(cls) -> "Mechanism":
-        return cls(MechanismKind.MINSLACK)
+        return cls("minslack", "fcfs")
 
     @classmethod
     def prio_minslack(cls, sort_key: str = "cost") -> "Mechanism":
-        return cls(MechanismKind.PRIO_MINSLACK, sort_key=sort_key)
+        """Cost-descending order; ``sort_key='bid'`` is the pay-your-bid variant."""
+        return cls("prio-minslack", _priority_key(sort_key))
 
     @classmethod
     def alpha_minslack(cls, alpha: RationalLike, sort_key: str = "cost") -> "Mechanism":
-        return cls(MechanismKind.ALPHA_MINSLACK, alpha=exact_fraction(alpha), sort_key=sort_key)
+        a = exact_fraction(alpha)
+        if not 0 < a <= 1:
+            raise InvalidAlpha(f"alpha must lie in (0, 1], got {a}")
+        return cls(f"alpha-minslack({float(a):g})", _priority_key(sort_key), alpha=a)
 
     @classmethod
     def constant(cls, rate: int, sort_key: str = "cost") -> "Mechanism":
-        return cls(MechanismKind.CONSTANT, rate=int(rate), sort_key=sort_key)
+        """Fixed-rate baseline; ``sort_key='fcfs'`` makes it a plain rate limiter."""
+        if rate < 1:
+            raise ConfigError(f"constant mechanism needs a positive rate, got {rate}")
+        order = sort_key if sort_key == "fcfs" else _priority_key(sort_key)
+        return cls(f"constant({int(rate)})", order, rate=int(rate))
 
-    @property
-    def name(self) -> str:
-        if self.kind is MechanismKind.ALPHA_MINSLACK:
-            return f"alpha-minslack({float(self.alpha):g})"
-        if self.kind is MechanismKind.CONSTANT:
-            return f"constant({self.rate})"
-        return self.kind.value
+    def capacity(self, slack: int) -> int:
+        """Stake this mechanism processes when ``slack`` is free."""
+        if self.alpha is not None:
+            return alpha_capacity(self.alpha, slack)
+        if self.rate is not None:
+            return min(self.rate, slack)
+        return slack
 
-    def select(
-        self, state: QueueState, constraints: ConstraintSet | None = None
-    ) -> tuple[ExitRequest, ...]:
-        if self.kind is MechanismKind.MINSLACK:
-            return select_minslack(state, constraints)
-        if self.kind is MechanismKind.PRIO_MINSLACK:
-            return select_prio_minslack(state, constraints, sort_key=self.sort_key)
-        if self.kind is MechanismKind.ALPHA_MINSLACK:
-            return select_alpha_minslack(state, self.alpha, constraints, sort_key=self.sort_key)
-        return select_constant(state, self.rate, constraints, sort_key=self.sort_key)
+    def select(self, state: QueueState) -> tuple[ExitRequest, ...]:
+        if self.order == "fcfs":
+            ordered = _fcfs(state.waiting)
+        else:
+            ordered = _by_cost_desc(state.waiting, self.order)
+        return _prefix(ordered, self.capacity(min_slack(state)))

@@ -46,8 +46,8 @@ from .errors import (
     InstanceTooLarge,
     NoWithdrawals,
 )
-from .mechanisms import Mechanism, MechanismKind, alpha_capacity
-from .mdp import OptimalMechanism
+from .mechanisms import Mechanism
+from .mdp import OptimalMechanism, serve
 
 __all__ = [
     "SimulationConfig",
@@ -194,13 +194,22 @@ def run_trial(config: SimulationConfig, seed: int) -> TrialResult:
 # =============================================================
 
 
-def _discounted(costs: Sequence[float], gamma: float) -> float:
-    terms = []
+def _discount_weights(gamma: float, n: int) -> np.ndarray:
+    """gamma, gamma^2, ..., gamma^n, each the previous times gamma.
+
+    Repeated multiplication, not powers, so that both engines and every
+    trial weight period t by the same float.
+    """
+    weights = np.empty(n, dtype=np.float64)
     weight = gamma
-    for p in costs:
-        terms.append(weight * p)
+    for t in range(n):
+        weights[t] = weight
         weight *= gamma
-    return (1.0 - gamma) * math.fsum(terms)
+    return weights
+
+
+def _discounted(stream: np.ndarray, weights: np.ndarray, gamma: float) -> float:
+    return (1.0 - gamma) * math.fsum((weights * stream).tolist())
 
 
 def discounted_reward(result: TrialResult, gamma: float) -> float:
@@ -220,7 +229,7 @@ def discounted_reward(result: TrialResult, gamma: float) -> float:
         pen - math.fsum(c for _, _, c in batch)
         for pen, batch in zip(result.per_period_penalty, result.processed_log)
     ]
-    return _discounted(stream, gamma)
+    return _discounted(np.asarray(stream), _discount_weights(gamma, len(stream)), gamma)
 
 
 def steady_state_disutility(result: TrialResult, burn_in: int) -> float:
@@ -319,7 +328,8 @@ def monte_carlo(config: SimulationConfig) -> MonteCarloSummary:
     if _fastlane_eligible(config):
         streams, traces = _fastlane_arrays(config)
         _fastlane_audit(traces, config)
-        values = [_discounted(streams[i], config.discount) for i in range(config.trials)]
+        weights = _discount_weights(config.discount, config.steps)
+        values = [_discounted(row, weights, config.discount) for row in streams]
         return _summarize(values, config)
 
     values = []
@@ -374,15 +384,9 @@ def make_histogram(values: Sequence[float], bin_width: float = 0.1) -> list[Hist
 #
 # Restricted to configurations whose queue dynamics are a function of the
 # (low, high) waiting counts: two cost levels, unit stakes, one absolute
-# constraint, highest-cost-first mechanisms, discounted metric. MINSLACK and
-# the FCFS-ordered baseline interleave classes by arrival order, which counts
-# alone cannot express, so they stay on the object engine.
-
-_FASTLANE_KINDS = (
-    MechanismKind.PRIO_MINSLACK,
-    MechanismKind.ALPHA_MINSLACK,
-    MechanismKind.CONSTANT,
-)
+# constraint, highest-cost-first mechanisms, discounted metric. FCFS-ordered
+# mechanisms interleave classes by arrival order, which counts alone cannot
+# express, and bids are not counted, so both stay on the object engine.
 
 
 def _fastlane_eligible(config: SimulationConfig) -> bool:
@@ -399,7 +403,7 @@ def _fastlane_eligible(config: SimulationConfig) -> bool:
             return False
         lo, hi = sorted(config.values.points)
         return (lo, hi) == (m.arrival_model.cost_low, m.arrival_model.cost_high)
-    return isinstance(m, Mechanism) and m.kind in _FASTLANE_KINDS and m.sort_key == "cost"
+    return isinstance(m, Mechanism) and m.order == "cost"
 
 
 def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -429,17 +433,9 @@ def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(mech, OptimalMechanism):
         space = mech.policy.space
         actions = mech.policy.actions.astype(np.int64)
-        lookup = None
     else:
         space = None
-        if mech.kind is MechanismKind.PRIO_MINSLACK:
-            lookup = np.arange(budget + 1, dtype=np.int64)
-        elif mech.kind is MechanismKind.ALPHA_MINSLACK:
-            lookup = np.asarray(
-                [alpha_capacity(mech.alpha, s) for s in range(budget + 1)], dtype=np.int64
-            )
-        else:
-            lookup = np.minimum(np.arange(budget + 1, dtype=np.int64), mech.rate)
+        lookup = np.asarray([mech.capacity(s) for s in range(budget + 1)], dtype=np.int64)
 
     w_low = np.zeros(m, dtype=np.int64)
     w_high = np.zeros(m, dtype=np.int64)
@@ -456,17 +452,11 @@ def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
         else:
             slack = budget - hist.sum(axis=1)
             take = np.minimum(lookup[slack], w_low + w_high)
-        done_high = np.minimum(take, w_high)
-        done_low = take - done_high
-        w_high -= done_high
-        w_low -= done_low
+        w_low, w_high, hist, done_low, done_high = serve(w_low, w_high, hist, take)
         penalty = -(cost_lo * w_low + cost_hi * w_high)
         fee = cost_lo * done_low + cost_hi * done_high
         streams[:, t] = penalty - fee
         processed[:, t] = take
-        if window > 1:
-            hist[:, 1:] = hist[:, :-1]
-            hist[:, 0] = take
         if t + 1 < n:
             w_high += highs[:, t + 1]
             w_low += counts[:, t + 1] - highs[:, t + 1]

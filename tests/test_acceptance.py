@@ -35,7 +35,7 @@ from exitqueue.mdp import (
     value_iteration,
     vcg_estimate,
 )
-from exitqueue.mechanisms import Mechanism, alpha_capacity, select_minslack
+from exitqueue.mechanisms import Mechanism, alpha_capacity
 from exitqueue.simulate import (
     SimulationConfig,
     brute_force_schedules,
@@ -304,7 +304,7 @@ def test_criterion_05_greedy_dominance_oracle() -> None:
         state = QueueState.initial(cs, arrivals=[r for r in reqs if r.requested_at == 1])
         trace = []
         for t in range(1, horizon + 1):
-            sel = select_minslack(state)
+            sel = Mechanism.minslack().select(state)
             state = step(state, [r for r in reqs if r.requested_at == t + 1], sel)
             trace.append(len(sel))
         if not check_trace_feasible(tuple(trace), None, cs):

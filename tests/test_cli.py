@@ -6,7 +6,9 @@ the assertions cover the same code paths as the installed console script.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -171,13 +173,13 @@ def test_corrupt_policy_cache_is_a_model_mismatch(tmp_path) -> None:
     assert main(["simulate", "--config", str(cfg)]) == 4
 
 
-def test_stale_policy_cache_parameters_are_a_config_error(tmp_path) -> None:
+def test_stale_policy_cache_parameters_are_a_model_mismatch(tmp_path) -> None:
     text = BASE.replace("list = minslack, prio-minslack, alpha-minslack, constant",
                         "list = optimal")
     cfg = _config(tmp_path, text, "opt.cfg")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
     retuned = _config(tmp_path, text.replace("tolerance = 1e-9", "tolerance = 1e-6"), "re.cfg")
-    assert main(["simulate", "--config", str(retuned)]) == 2
+    assert main(["simulate", "--config", str(retuned)]) == 4
 
 
 # =============================================================
@@ -300,6 +302,12 @@ def test_verify_reports_all_pass(capsys) -> None:
     assert all(ln.startswith("PASS ") for ln in lines)
 
 
+def test_simulate_rejects_check(tmp_path) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(_config(tmp_path)), "--check"])
+    assert exc.value.code == 2
+
+
 def test_missing_config_is_a_config_error(tmp_path) -> None:
     assert main(["simulate", "--config", str(tmp_path / "none.cfg")]) == 2
 
@@ -325,3 +333,56 @@ def test_solver_failure_maps_to_exit_three(tmp_path, monkeypatch) -> None:
 
     monkeypatch.setattr(cli, "value_iteration", explode)
     assert main(["solve", "--config", str(cfg)]) == 3
+
+
+# =============================================================
+# Bundled experiments, pinned by hash
+# =============================================================
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# SHA-256 of what each command writes for the bundled configs, solved into
+# an empty policy cache: the policy files of `solve`, the stdout of
+# `simulate` (200 trials for discounted configs, 1 for steady-state ones)
+# and of `histogram` (200 trials). Any change to the model build, the
+# solver, either engine or the CSV format moves one of them.
+OUTPUT_SHA256 = {
+    "solve gamma85": "7cac556267ca0ddfd7ed1fb46351b3bce151d26dc9e9f91c6e81ac0e3c6d135c",
+    "solve gamma90": "f3c202b913d0adb47abdb206cb2f80d681b027ca1a4292e962b5a9009c9dd4ab",
+    "simulate arrivals_0_1_10": "be2496cd3ac68ea44d036a00a6766a8e3c817bbd16b9b20d0cf96d47a7985835",
+    "simulate arrivals_0_1_2": "00eaa180a6b2012a9b3d4b8c685788297b7f3dee7b383e082a3632eb38421fd0",
+    "simulate costs_1_20": "a6454a962f33040b6db749c82ab6ae4afa72d37c6eeba86af82e5312361ab63b",
+    "simulate costs_1_5": "cd9ff273e94c9257dae3d44200712d5cb8c96ed68d8a940606bb028d0030b4a6",
+    "simulate gamma85": "8054a5f9c6c65e00a8126d2f5e7646a54ce76ac91dcd9f70d1ca5a6fddb70525",
+    "simulate gamma90": "a42e46e66dac2a70a0aeee0d7281d36610501968df156410c854f6cf6a0652de",
+    "simulate gamma95": "8a4d7d924dd2f4d1d2d449796cc80fcc76cf33167d151f84684aac86d0dd69d9",
+    "simulate steady_exponential": "9843be4c6cfe934bfb2036609ae7cd2565c3242180fd4ceca009f521b85e0b54",
+    "simulate steady_pareto": "37dd9c46fa463ebe30c06eb6e37217ffafcc541ae2b97d6b4f0106e17ec021e4",
+    "simulate steady_uniform": "25dec390a1fd83c79908077d05f9995c54dee5f116a623590726404a46fa2535",
+    "simulate tail_histogram": "a42e46e66dac2a70a0aeee0d7281d36610501968df156410c854f6cf6a0652de",
+    "histogram tail_histogram": "d626b160e5f12db22a97689b79a1f3cd4c9ffad7fcb74fb242a0098d3fd47e11",
+}
+
+
+def test_bundled_outputs_match_pinned_hashes(tmp_path, capsys) -> None:
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    for cfg in CONFIGS.glob("*.cfg"):
+        shutil.copy(cfg, configs / cfg.name)
+
+    def run(*args: str) -> bytes:
+        assert main(list(args)) == 0
+        return capsys.readouterr().out.encode("utf-8")
+
+    digests = {}
+    for name in ("gamma85", "gamma90"):
+        run("solve", "--config", str(configs / f"{name}.cfg"))
+        policy = (configs / "policies" / f"{name}.policy").read_bytes()
+        digests[f"solve {name}"] = hashlib.sha256(policy).hexdigest()
+    for cfg in sorted(configs.glob("*.cfg")):
+        trials = "1" if load_experiment(cfg).metric == "steady-state" else "200"
+        out = run("simulate", "--config", str(cfg), "--trials", trials)
+        digests[f"simulate {cfg.stem}"] = hashlib.sha256(out).hexdigest()
+    out = run("histogram", "--config", str(configs / "tail_histogram.cfg"), "--trials", "200")
+    digests["histogram tail_histogram"] = hashlib.sha256(out).hexdigest()
+    assert digests == OUTPUT_SHA256

@@ -25,7 +25,6 @@ from exitqueue.core import (
     check_trace_feasible,
     exact_fraction,
     min_slack,
-    replace_constraints,
     slack,
     step,
 )
@@ -171,18 +170,6 @@ def test_min_slack_takes_binding_constraint() -> None:
 def test_min_slack_zero_capacity() -> None:
     state = QueueState.initial(_abs([(0, 1)]))
     assert min_slack(state) == 0
-
-
-def test_min_slack_with_override_constraints() -> None:
-    state = QueueState(
-        constraints=_abs([(5, 1)]), period=3, waiting=(), processed_totals=(1, 1)
-    )
-    tighter = _abs([(3, 3)])
-    assert min_slack(state) == 5
-    assert min_slack(state, tighter) == 1
-    # The override is a view; the state itself is untouched.
-    assert state.constraints == _abs([(5, 1)])
-    assert replace_constraints(state, tighter).constraints == tighter
 
 
 # =============================================================
@@ -409,6 +396,14 @@ def test_state_validation() -> None:
             constraints=cs, period=2, waiting=(), processed_totals=(0,),
             stake_history=(5,),
         )
+
+
+def test_state_requires_arrival_order() -> None:
+    cs = _abs([(2, 3)])
+    ordered = (_unit("a", 1), _unit("b", 2), _unit("c", 2), _unit("d", 3))
+    assert QueueState(cs, 3, ordered, processed_totals=(0, 0)).waiting == ordered
+    with pytest.raises(ConfigError, match="arrival order"):
+        QueueState(cs, 3, (_unit("b", 2), _unit("a", 1)), processed_totals=(0, 0))
 
 
 # =============================================================

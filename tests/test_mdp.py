@@ -424,5 +424,3 @@ def test_optimal_mechanism_wrapper() -> None:
     assert (int(cs[0].delta), cs[0].window) == (2, 2)
     state = _queue([ExitRequest("high", 1, 10.0)], budget=2, window=2)
     assert mech.select(state) == optimal_select(policy, state, FLAGSHIP)
-    with pytest.raises(ModelMismatch):
-        mech.select(state, ConstraintSet([Constraint(1, 1)]))

@@ -28,7 +28,7 @@ from exitqueue.core import (
 from exitqueue.distributions import Discrete, Exponential, Pareto, Uniform
 from exitqueue.errors import ConfigError, NoWithdrawals
 from exitqueue.mdp import ArrivalModel, OptimalMechanism, build_model, value_iteration
-from exitqueue.mechanisms import Mechanism, select_minslack
+from exitqueue.mechanisms import Mechanism
 from exitqueue.simulate import (
     MonteCarloSummary,
     SimulationConfig,
@@ -254,7 +254,7 @@ def test_minslack_drains_a_burst_in_window_steps() -> None:
     reqs = [ExitRequest(f"v{i}", 1, 1.0) for i in range(4)]
     state = QueueState.initial(cs, arrivals=reqs)
     for _ in range(4):
-        state = step(state, (), select_minslack(state))
+        state = step(state, (), Mechanism.minslack().select(state))
     assert state.processed_totals == (2, 0, 0, 2)
     assert state.waiting == ()
 

@@ -58,6 +58,7 @@ from .errors import (
 from .mechanisms import Mechanism, alpha_capacity
 from .mdp import (
     ArrivalModel,
+    MdpModel,
     OptimalMechanism,
     Policy,
     build_model,
@@ -66,6 +67,7 @@ from .mdp import (
     load_policy,
     policy_text,
     save_policy,
+    _sweep,
     value_iteration,
 )
 from .simulate import SimulationConfig, brute_force_schedules, monte_carlo
@@ -148,8 +150,7 @@ def _pairs(raw: str, what: str) -> list[tuple[str, str]]:
     return out
 
 
-def _values_dist(section: configparser.SectionProxy) -> ValueDistribution:
-    kind = section.get("kind", "discrete").strip().lower()
+def _values_dist(section: configparser.SectionProxy, kind: str) -> ValueDistribution:
     if kind == "discrete":
         pairs = _pairs(section.get("points", ""), "[values] points")
         return Discrete(
@@ -172,6 +173,34 @@ def _values_dist(section: configparser.SectionProxy) -> ValueDistribution:
         )
         return Pareto(section.getfloat("shape"), section.getfloat("scale"), convention)
     raise ConfigError(f"unknown value distribution kind {kind!r}")
+
+
+# Every key that load_experiment reads, by section; [values] keys by kind.
+CONFIG_KEYS = {
+    "experiment": {"name", "metric", "steps", "trials", "seed", "discount", "burn_in", "bin_width"},
+    "constraints": {"mode", "windows", "initial_stake"},
+    "arrivals": {"counts"},
+    "values": {"kind"},
+    "mechanisms": {"list", "alpha", "rate", "sort_key", "constant_sort"},
+    "policy": {"cap", "tolerance", "path"},
+}
+VALUES_KEYS = {
+    "discrete": {"points"},
+    "uniform": {"lo", "hi"},
+    "exponential": {"rate", "scale"},
+    "pareto": {"shape", "scale", "convention"},
+}
+
+
+def _reject_unread(parser: configparser.ConfigParser, values_kind: str) -> None:
+    """Raise ConfigError for a section or key that load_experiment does not read."""
+    for section in parser.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        known = CONFIG_KEYS[section] | (VALUES_KEYS[values_kind] if section == "values" else set())
+        for key in parser[section]:
+            if key not in known:
+                raise ConfigError(f"[{section}] has unknown key {key!r}")
 
 
 def load_experiment(path: str | Path) -> ExperimentSpec:
@@ -216,7 +245,9 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
             probs=tuple(float(p) for _, p in count_pairs),
         )
 
-        values = _values_dist(parser["values"])
+        values_kind = parser["values"].get("kind", "discrete").strip().lower()
+        values = _values_dist(parser["values"], values_kind)
+        _reject_unread(parser, values_kind)
 
         mech = parser["mechanisms"]
         names = tuple(
@@ -231,29 +262,19 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
 
         policy_spec = None
         if parser.has_section("policy"):
+            # The model is the experiment's: its one window and two cost points.
+            if constraints.mode is not ConstraintMode.ABSOLUTE_COUNT or len(constraints) != 1:
+                raise ConfigError("[policy] needs a single absolute constraint")
+            if not isinstance(values, Discrete) or len(values.points) != 2:
+                raise ConfigError("[policy] needs a two-point [values] distribution")
             pol = parser["policy"]
-            budget_default, window_default = None, None
-            if constraints.mode is ConstraintMode.ABSOLUTE_COUNT and len(constraints) == 1:
-                budget_default = int(constraints[0].delta)
-                window_default = constraints[0].window
-            budget = pol.getint("budget", fallback=budget_default)
-            window = pol.getint("window", fallback=window_default)
-            if budget is None or window is None:
-                raise ConfigError("[policy] needs budget and window (or a single absolute constraint)")
-            high_prob = pol.getfloat("high_prob", fallback=None)
-            if high_prob is None:
-                if isinstance(values, Discrete) and len(values.points) == 2:
-                    hi = max(values.points)
-                    high_prob = values.probs[values.points.index(hi)]
-                else:
-                    raise ConfigError("[policy] needs high_prob unless values has two points")
             rel = pol.get("path", f"policies/{name}.policy")
             policy_spec = PolicySpec(
                 cap=pol.getint("cap", 10),
-                budget=budget,
-                window=window,
+                budget=int(constraints[0].delta),
+                window=constraints[0].window,
                 tolerance=pol.getfloat("tolerance", 1e-9),
-                high_prob=high_prob,
+                high_prob=values.probs[values.points.index(max(values.points))],
                 path=(path.parent / rel).resolve(),
             )
     except KeyError as exc:
@@ -284,35 +305,24 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
 
 
 def _arrival_model(spec: ExperimentSpec) -> ArrivalModel:
-    if not isinstance(spec.values, Discrete) or len(spec.values.points) != 2:
-        raise ConfigError("the solved policy needs a two-point value distribution")
     lo, hi = sorted(spec.values.points)
-    assert spec.policy is not None
-    return ArrivalModel(
-        count_dist=spec.arrival_counts.as_count_dist(),
-        high_prob=spec.policy.high_prob,
-        cost_low=lo,
-        cost_high=hi,
-    )
+    return ArrivalModel(spec.arrival_counts.as_count_dist(), spec.policy.high_prob, lo, hi)
 
 
-def _solve(spec: ExperimentSpec) -> Policy:
-    if spec.policy is None:
-        raise ConfigError("config has no [policy] section")
+def _model(spec: ExperimentSpec) -> MdpModel:
     if spec.discount is None:
         raise ConfigError("solving needs a discount factor")
-    model = build_model(
-        _arrival_model(spec),
-        cap=spec.policy.cap,
-        budget=spec.policy.budget,
-        window=spec.policy.window,
-        discount=spec.discount,
-    )
-    return value_iteration(model, tolerance=spec.policy.tolerance)
+    pol = spec.policy
+    return build_model(_arrival_model(spec), pol.cap, pol.budget, pol.window, spec.discount)
 
 
 def _materialize_policy(spec: ExperimentSpec) -> Policy:
-    """Load the cached policy file, solving and caching it if absent."""
+    """Load the cached policy file, solving and caching it if absent.
+
+    A cached policy is used only if its values are a Bellman fixed point of
+    the config's model, within the solver tolerance plus the rounding of the
+    file's 13 significant digits carried through one backup.
+    """
     assert spec.policy is not None
     cache = spec.policy.path
     if cache.exists():
@@ -324,13 +334,18 @@ def _materialize_policy(spec: ExperimentSpec) -> Policy:
             and policy.discount == spec.discount
             and policy.tolerance == spec.policy.tolerance
         )
+        if ok:
+            swept, _ = _sweep(_model(spec).table, policy.discount, policy.values)
+            scale = float(np.max(np.abs(policy.values)))
+            bound = policy.tolerance + (1 + policy.discount) * 5e-13 * scale + 1e-12
+            ok = float(np.max(np.abs(swept - policy.values))) <= bound
         if not ok:
             raise ModelMismatch(
-                f"cached policy {cache} was solved for different parameters; "
+                f"cached policy {cache} was not solved for this config's model; "
                 "delete it or point [policy] path elsewhere"
             )
         return policy
-    policy = _solve(spec)
+    policy = value_iteration(_model(spec), tolerance=spec.policy.tolerance)
     cache.parent.mkdir(parents=True, exist_ok=True)
     save_policy(policy, cache)
     return policy
@@ -376,7 +391,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     spec = load_experiment(args.config)
     if spec.policy is None:
         raise ConfigError("config has no [policy] section to solve")
-    policy = _solve(spec)
+    policy = value_iteration(_model(spec), tolerance=spec.policy.tolerance)
     info = policy.info
     print(
         f"states={policy.space.n} iterations={info.iterations} residual={info.residual:.3e}"
@@ -578,8 +593,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def config_and_out(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-        p.add_argument("--config", required=config_required, help="experiment config file")
+    def config_and_out(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     def overrides(p: argparse.ArgumentParser) -> None:
@@ -603,7 +618,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_diff = sub.add_parser("policy-diff", help="compare a policy file to greedy slack filling")
     p_diff.add_argument("policy", nargs="?", default=None, help="policy file path")
-    config_and_out(p_diff, config_required=False)
+    p_diff.add_argument("--config", help="policy file path (same as the positional argument)")
+    p_diff.add_argument("--out", default=None, help="output path (default stdout)")
     p_diff.set_defaults(func=cmd_policy_diff)
 
     p_verify = sub.add_parser("verify", help="run built-in invariant cross-checks")

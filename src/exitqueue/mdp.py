@@ -26,6 +26,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -33,7 +34,6 @@ import numpy as np
 
 from .core import (
     Constraint,
-    ConstraintMode,
     ConstraintSet,
     ExitRequest,
     QueueState,
@@ -424,6 +424,11 @@ class Policy:
         idx = state if isinstance(state, int) else self.space.encode(state)
         return float(self.values[idx])
 
+    @cached_property
+    def constraints(self) -> ConstraintSet:
+        """The single absolute (budget, window) constraint this policy was solved for."""
+        return ConstraintSet([Constraint(self.space.budget, self.space.window)])
+
 
 def _sweep(
     table: TransitionTable, discount: float, values: np.ndarray
@@ -594,16 +599,10 @@ def load_policy(path) -> Policy:
 
 def _validate_queue(policy: Policy, state: QueueState, arrival_model: ArrivalModel) -> None:
     cs = state.constraints
-    budget, window = policy.space.budget, policy.space.window
-    ok = (
-        cs.mode is ConstraintMode.ABSOLUTE_COUNT
-        and len(cs) == 1
-        and int(cs[0].delta) == budget
-        and cs[0].window == window
-    )
-    if not ok:
+    if cs != policy.constraints:
+        space = policy.space
         raise ModelMismatch(
-            f"policy solved for single absolute constraint ({budget},{window}); "
+            f"policy solved for single absolute constraint ({space.budget},{space.window}); "
             f"queue has {[(str(c.delta), c.window) for c in cs]} in {cs.mode.value} mode"
         )
     for r in state.waiting:
@@ -613,14 +612,16 @@ def _validate_queue(policy: Policy, state: QueueState, arrival_model: ArrivalMod
 
 
 def queue_to_mdp_state(
-    state: QueueState, arrival_model: ArrivalModel, cap: int, budget: int, window: int
+    state: QueueState, arrival_model: ArrivalModel, window: int, cap: int | None = None
 ) -> MdpState:
-    """Clamped count view of a live queue for policy lookup."""
+    """Count view of a live queue, with counts clamped to ``cap`` if given."""
     w_low = sum(1 for r in state.waiting if r.cost == arrival_model.cost_low)
     w_high = sum(1 for r in state.waiting if r.cost == arrival_model.cost_high)
     recent = state.recent_totals(window - 1)
     hist = tuple(reversed(recent)) + (0,) * (window - 1 - len(recent))
-    return MdpState(min(w_low, cap), min(w_high, cap), hist)
+    if cap is not None:
+        w_low, w_high = min(w_low, cap), min(w_high, cap)
+    return MdpState(w_low, w_high, hist)
 
 
 def optimal_select(
@@ -639,7 +640,7 @@ def optimal_select(
     if cap is not None and cap != space.cap:
         raise ModelMismatch(f"policy solved for cap {space.cap}, got {cap}")
     _validate_queue(policy, state, arrival_model)
-    mstate = queue_to_mdp_state(state, arrival_model, space.cap, space.budget, space.window)
+    mstate = queue_to_mdp_state(state, arrival_model, space.window, space.cap)
     action = policy.action_of(mstate)
     take = min(action, len(state.waiting))
     return tuple(_by_cost_desc(state.waiting, "cost")[:take])
@@ -661,10 +662,7 @@ class OptimalMechanism:
 
     def model_constraints(self) -> ConstraintSet:
         """The single absolute constraint this policy was solved for."""
-        return ConstraintSet(
-            [Constraint(self.policy.space.budget, self.policy.space.window)],
-            ConstraintMode.ABSOLUTE_COUNT,
-        )
+        return self.policy.constraints
 
 
 # =============================================================
@@ -683,60 +681,34 @@ class VcgEstimate:
     exact: bool
 
 
-class _BranchState:
-    """Mutable count-level simulation state for one payment branch."""
-
-    __slots__ = ("w_low", "w_high", "hist", "agent_active", "agent_ahead", "saturated")
-
-    def __init__(self, w_low, w_high, hist, agent_active, agent_ahead):
-        self.w_low = w_low
-        self.w_high = w_high
-        self.hist = hist
-        self.agent_active = agent_active
-        self.agent_ahead = agent_ahead
-        self.saturated = False
-
-
-def _advance_branch(
+def _payment_period(
     policy: Policy,
     model: ArrivalModel,
-    br: _BranchState,
+    branches: tuple[np.ndarray, ...],
     counts: np.ndarray,
     highs: np.ndarray,
     agent_is_high: bool,
     agent_cost: float,
-) -> np.ndarray:
-    """One period for all samples of one branch; returns others' cost."""
-    space = policy.space
-    if np.any(br.w_low > space.cap) or np.any(br.w_high > space.cap):
-        br.saturated = True
-    idx = space.encode_arrays(br.w_low, br.w_high, br.hist)
-    action = policy.actions[idx].astype(np.int64)
-    action = np.minimum(action, br.w_low + br.w_high)
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """One period of both payment rollouts; returns them after it and the
+    others' waiting cost.
 
-    if br.agent_active is not None:
-        processed_now = br.agent_active & (action > br.agent_ahead)
-        br.agent_ahead = np.where(
-            br.agent_active & ~processed_now,
-            np.maximum(br.agent_ahead - action, 0),
-            br.agent_ahead,
-        )
-
-    br.w_low, br.w_high, br.hist, _, _ = serve(br.w_low, br.w_high, br.hist, action)
-    total_cost = model.cost_low * br.w_low + model.cost_high * br.w_high
-    if br.agent_active is not None:
-        waiting_after = br.agent_active & ~processed_now
-        others = total_cost - np.where(waiting_after, agent_cost, 0.0)
-        br.agent_active = waiting_after
-    else:
-        others = total_cost.astype(np.float64)
-
+    ``branches`` is (w_low, w_high, hist, agent waiting, requests ahead of
+    the agent), each with a row per branch and a column per sample: row 0
+    with the agent, row 1 without it. Arrivals broadcast over both rows.
+    """
+    w_low, w_high, hist, active, ahead = branches
+    idx = policy.space.encode_arrays(w_low, w_high, hist)
+    action = np.minimum(policy.actions[idx].astype(np.int64), w_low + w_high)
+    served = active & (action > ahead)
+    ahead = np.where(active & ~served, np.maximum(ahead - action, 0), ahead)
+    active = active & ~served
+    w_low, w_high, hist, _, _ = serve(w_low, w_high, hist, action)
+    others = model.cost_low * w_low + model.cost_high * w_high - np.where(active, agent_cost, 0.0)
     # New arrivals; future high arrivals outrank a still-waiting low agent.
-    if br.agent_active is not None and not agent_is_high:
-        br.agent_ahead = br.agent_ahead + np.where(br.agent_active, highs, 0)
-    br.w_high = br.w_high + highs
-    br.w_low = br.w_low + (counts - highs)
-    return others
+    if not agent_is_high:
+        ahead = ahead + np.where(active, highs, 0)
+    return (w_low + (counts - highs), w_high + highs, hist, active, ahead), others
 
 
 def _replay_to_agent(
@@ -760,10 +732,7 @@ def _replay_to_agent(
     if any(r.requested_at != t for t, batch in enumerate(trajectory, start=1) for r in batch):
         raise ModelMismatch("trajectory batches must carry matching requested_at periods")
 
-    cs = ConstraintSet(
-        [Constraint(policy.space.budget, policy.space.window)], ConstraintMode.ABSOLUTE_COUNT
-    )
-    state = QueueState.initial(cs, arrivals=trajectory[0])
+    state = QueueState.initial(policy.constraints, arrivals=trajectory[0])
     for t in range(1, agent_period):
         selected = optimal_select(policy, state, arrival_model)
         state = step(state, trajectory[t], selected)
@@ -784,8 +753,9 @@ def vcg_estimate(
     with the agent present minus with it absent, under the solved policy.
 
     Both counterfactuals restart from the agent's arrival period (discount
-    epoch 0) and share common-random-number futures. Deterministic arrival
-    models are evaluated exactly; the value function cross-checks the
+    epoch 0), share common-random-number futures and advance together as
+    one 2 x samples array. Deterministic arrival models are
+    evaluated exactly; the value function cross-checks the
     without-agent branch whenever that state is inside the model's cap.
     Trajectory batches after the agent's arrival are ignored: the payment
     conditions on the state at arrival and averages over model futures.
@@ -800,68 +770,56 @@ def vcg_estimate(
     agent_is_high = arrival_model.cost_class(agent.cost) == "high"
     order = _by_cost_desc(state.waiting, "cost")
     ahead0 = next(i for i, r in enumerate(order) if r.validator == agent.validator)
-    w_low0 = sum(1 for r in state.waiting if r.cost == arrival_model.cost_low)
-    w_high0 = sum(1 for r in state.waiting if r.cost == arrival_model.cost_high)
-    recent = state.recent_totals(space.window - 1)
-    hist0 = tuple(reversed(recent)) + (0,) * (space.window - 1 - len(recent))
+    w_low0, w_high0, hist0 = queue_to_mdp_state(state, arrival_model, space.window)
+    absent = MdpState(w_low0 - (not agent_is_high), w_high0 - agent_is_high, hist0)
 
     exact = arrival_model.is_deterministic()
     m = 1 if exact else int(samples)
     if m < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
 
-    def fresh(with_agent: bool) -> _BranchState:
-        wl, wh = w_low0, w_high0
-        if not with_agent:
-            if agent_is_high:
-                wh -= 1
-            else:
-                wl -= 1
-        return _BranchState(
-            w_low=np.full(m, wl, dtype=np.int64),
-            w_high=np.full(m, wh, dtype=np.int64),
-            hist=np.tile(np.asarray(hist0, dtype=np.int64), (m, 1)),
-            agent_active=np.ones(m, dtype=bool) if with_agent else None,
-            agent_ahead=np.full(m, ahead0, dtype=np.int64) if with_agent else None,
-        )
-
-    branch_with = fresh(True)
-    branch_without = fresh(False)
+    # Row 0 rolls out with the agent and row 1 without it, m samples each.
+    without = np.repeat([[False], [True]], m, axis=1)
+    branches = (
+        np.where(without, absent.w_low, w_low0),
+        np.where(without, absent.w_high, w_high0),
+        np.tile(np.asarray(hist0, dtype=np.int64), (2, m, 1)),
+        ~without,
+        np.where(without, 0, ahead0),
+    )
 
     ks = np.asarray([k for k, _ in arrival_model.count_dist], dtype=np.int64)
     ps = np.asarray([p for _, p in arrival_model.count_dist], dtype=np.float64)
     rng = np.random.default_rng(seed)
 
-    acc_with = np.zeros(m, dtype=np.float64)
-    acc_without = np.zeros(m, dtype=np.float64)
+    acc = np.zeros((2, m), dtype=np.float64)
+    saturated = False
     disc = 1.0
     for _ in range(horizon):
         if exact:
+            without_agent = branches[0][1, 0], branches[1][1, 0]
+            saturated = saturated or max(without_agent) > space.cap
             k_fixed = next(k for k, p in arrival_model.count_dist if p > 0.0)
             counts = np.full(m, k_fixed, dtype=np.int64)
             highs = counts * int(arrival_model.high_prob) if k_fixed else np.zeros(m, np.int64)
         else:
             counts = rng.choice(ks, size=m, p=ps)
             highs = rng.binomial(counts, arrival_model.high_prob)
-        acc_with += disc * _advance_branch(
-            policy, arrival_model, branch_with, counts, highs, agent_is_high, agent.cost
+        branches, others = _payment_period(
+            policy, arrival_model, branches, counts, highs, agent_is_high, agent.cost
         )
-        acc_without += disc * _advance_branch(
-            policy, arrival_model, branch_without, counts, highs, agent_is_high, agent.cost
-        )
+        acc += disc * others
         disc *= gamma
 
-    diffs = acc_with - acc_without
+    diffs = acc[0] - acc[1]
     mean = float(np.mean(diffs))
     if exact:
         stderr = 0.0
         # Cross-check: with no agent-tracking the without branch is plain
         # value-function mass, valid whenever counts never saturate the cap.
-        wl = w_low0 - (0 if agent_is_high else 1)
-        wh = w_high0 - (1 if agent_is_high else 0)
-        if wl <= space.cap and wh <= space.cap and not branch_without.saturated:
-            v = policy.value_of(MdpState(wl, wh, hist0))
-            if abs(-v - float(acc_without[0])) > 1e-6 * max(1.0, abs(v)):
+        if absent.w_low <= space.cap and absent.w_high <= space.cap and not saturated:
+            v = policy.value_of(absent)
+            if abs(-v - float(acc[1, 0])) > 1e-6 * max(1.0, abs(v)):
                 raise ModelMismatch(
                     "deterministic rollout disagrees with the value function; "
                     "policy and arrival model are inconsistent"

@@ -44,6 +44,7 @@ from .errors import (
     ConfigError,
     FeasibilityViolation,
     InstanceTooLarge,
+    ModelMismatch,
     NoWithdrawals,
 )
 from .mechanisms import Mechanism
@@ -52,7 +53,6 @@ from .mdp import OptimalMechanism, serve
 __all__ = [
     "SimulationConfig",
     "TrialResult",
-    "sample_arrivals",
     "sample_arrival_schedule",
     "run_trial",
     "discounted_reward",
@@ -124,19 +124,14 @@ class TrialResult:
         return len(self.per_period_penalty)
 
 
-def sample_arrivals(
-    rng: np.random.Generator,
-    period: int,
-    arrival_counts: Discrete,
-    values: ValueDistribution,
-) -> list[ExitRequest]:
-    """Draw one period's batch: a count, then that many i.i.d. costs."""
-    k = int(arrival_counts.sample(rng, 1)[0])
-    costs = values.sample(rng, k)
-    return [
-        ExitRequest(validator=f"p{period}.{i}", requested_at=period, cost=float(c))
-        for i, c in enumerate(costs)
-    ]
+def _draw_arrivals(
+    rng: np.random.Generator, steps: int, arrival_counts: Discrete, values: ValueDistribution
+) -> tuple[np.ndarray, np.ndarray]:
+    """A whole trial's arrivals as two bulk draws: the count of every period
+    in one call, then every cost in a second. Both engines replay this one
+    stream, so their trials see identical arrivals."""
+    counts = np.asarray(arrival_counts.sample(rng, steps), dtype=np.int64)
+    return counts, np.asarray(values.sample(rng, int(counts.sum())), dtype=np.float64)
 
 
 def sample_arrival_schedule(
@@ -145,23 +140,15 @@ def sample_arrival_schedule(
     arrival_counts: Discrete,
     values: ValueDistribution,
 ) -> list[list[ExitRequest]]:
-    """Whole-trial arrival schedule from two bulk draws.
-
-    Counts for every period are drawn in one call and costs in a second, so
-    an engine that consumes raw arrays can replay the identical stream.
-    """
-    counts = np.asarray(arrival_counts.sample(rng, steps), dtype=np.int64)
-    costs = np.asarray(values.sample(rng, int(counts.sum())), dtype=np.float64)
+    """Whole-trial arrival schedule: one batch per period, labelled
+    ``p<period>.<i>`` and requested at that period."""
+    counts, costs = _draw_arrivals(rng, steps, arrival_counts, values)
+    costs = costs.tolist()
     schedule: list[list[ExitRequest]] = []
     pos = 0
-    for t in range(1, steps + 1):
-        k = int(counts[t - 1])
-        batch = [
-            ExitRequest(validator=f"p{t}.{i}", requested_at=t, cost=float(costs[pos + i]))
-            for i in range(k)
-        ]
+    for t, k in enumerate(counts.tolist(), start=1):
+        schedule.append([ExitRequest(f"p{t}.{i}", t, costs[pos + i]) for i in range(k)])
         pos += k
-        schedule.append(batch)
     return schedule
 
 
@@ -325,6 +312,8 @@ def monte_carlo(config: SimulationConfig) -> MonteCarloSummary:
     Every trial's trace is audited against the constraint set before
     aggregation.
     """
+    if isinstance(config.mechanism, OptimalMechanism):
+        _check_policy_fits(config.mechanism, config)
     if _fastlane_eligible(config):
         streams, traces = _fastlane_arrays(config)
         _fastlane_audit(traces, config)
@@ -392,18 +381,27 @@ def make_histogram(values: Sequence[float], bin_width: float = 0.1) -> list[Hist
 def _fastlane_eligible(config: SimulationConfig) -> bool:
     if config.metric != "discounted":
         return False
+    m = config.mechanism
+    if isinstance(m, OptimalMechanism):
+        return True  # monte_carlo has checked that the policy fits the run
     cs = config.constraints
     if cs.mode is not ConstraintMode.ABSOLUTE_COUNT or len(cs) != 1:
         return False
     if not isinstance(config.values, Discrete) or len(config.values.points) != 2:
         return False
-    m = config.mechanism
-    if isinstance(m, OptimalMechanism):
-        if m.model_constraints() != cs:
-            return False
-        lo, hi = sorted(config.values.points)
-        return (lo, hi) == (m.arrival_model.cost_low, m.arrival_model.cost_high)
-    return isinstance(m, Mechanism) and m.order == "cost"
+    return m.order == "cost"
+
+
+def _check_policy_fits(mech: OptimalMechanism, config: SimulationConfig) -> None:
+    """Raise ModelMismatch unless the run has the constraint and the two cost
+    points the policy was solved for."""
+    costs = [mech.arrival_model.cost_low, mech.arrival_model.cost_high]
+    points = sorted(config.values.points) if isinstance(config.values, Discrete) else None
+    if config.constraints != mech.model_constraints() or points != costs:
+        raise ModelMismatch(
+            f"optimal policy solved for costs {costs} under {mech.model_constraints()}; "
+            f"the run has values {config.values} under {config.constraints}"
+        )
 
 
 def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -420,8 +418,7 @@ def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     highs = np.empty((m, n), dtype=np.int64)
     for i in range(m):
         rng = np.random.default_rng(config.seed + i)
-        c = np.asarray(config.arrival_counts.sample(rng, n), dtype=np.int64)
-        costs = np.asarray(config.values.sample(rng, int(c.sum())), dtype=np.float64)
+        c, costs = _draw_arrivals(rng, n, config.arrival_counts, config.values)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(c, out=offsets[1:])
         cum_high = np.zeros(costs.size + 1, dtype=np.int64)

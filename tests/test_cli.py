@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -81,8 +82,8 @@ def test_load_experiment_parses_the_full_schema(tmp_path) -> None:
         "alpha-minslack",
         "constant",
     )
-    # Budget and window default to the single absolute constraint, and
-    # high_prob to the top point's probability.
+    # Budget and window come from the single absolute constraint, and
+    # high_prob is the top point's probability.
     assert (spec.policy.cap, spec.policy.budget, spec.policy.window) == (3, 2, 3)
     assert spec.policy.high_prob == 0.1
     assert spec.policy.path == (tmp_path / "policies" / "tiny.policy").resolve()
@@ -102,6 +103,49 @@ def test_load_experiment_rejects_bad_configs(tmp_path) -> None:
     )
     with pytest.raises(ConfigError):
         load_experiment(nolist)
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "named"),
+    [
+        ("cap = 3", "cap = 3\nbudget = 2", "[policy] has unknown key 'budget'"),
+        ("cap = 3", "cap = 3\nwindow = 3", "[policy] has unknown key 'window'"),
+        ("cap = 3", "cap = 3\nhigh_prob = 0.1", "[policy] has unknown key 'high_prob'"),
+        ("seed = 5", "seed = 5\nsteps_per_trial = 4", "[experiment] has unknown key"),
+        ("[policy]", "[extra]\nx = 1\n\n[policy]", "unknown section [extra]"),
+        (
+            "kind = discrete\npoints = 1:0.9, 10:0.1",
+            "kind = uniform\nlow = 0\nhigh = 1",
+            "[values] has unknown key 'low'",
+        ),
+    ],
+)
+def test_load_experiment_rejects_keys_it_does_not_read(tmp_path, old, new, named) -> None:
+    from exitqueue.errors import ConfigError
+
+    cfg = _config(tmp_path, BASE.replace(old, new, 1), "strict.cfg")
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_experiment(cfg)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+
+
+def test_load_experiment_policy_needs_the_two_class_model(tmp_path) -> None:
+    from exitqueue.errors import ConfigError
+
+    three_point = BASE.replace("points = 1:0.9, 10:0.1", "points = 1:0.8, 5:0.1, 10:0.1")
+    with pytest.raises(ConfigError, match="two-point"):
+        load_experiment(_config(tmp_path, three_point, "three.cfg"))
+    two_windows = BASE.replace("windows = 2:3", "windows = 2:3, 4:6")
+    with pytest.raises(ConfigError, match="single absolute"):
+        load_experiment(_config(tmp_path, two_windows, "two.cfg"))
+
+
+def test_load_experiment_reads_uniform_lo_and_hi(tmp_path) -> None:
+    text = BASE[: BASE.index("[policy]")].replace(
+        "kind = discrete\npoints = 1:0.9, 10:0.1", "kind = uniform\nlo = 2\nhi = 3"
+    )
+    spec = load_experiment(_config(tmp_path, text, "uniform.cfg"))
+    assert (spec.values.lo, spec.values.hi) == (2.0, 3.0)
 
 
 # =============================================================
@@ -180,6 +224,22 @@ def test_stale_policy_cache_parameters_are_a_model_mismatch(tmp_path) -> None:
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
     retuned = _config(tmp_path, text.replace("tolerance = 1e-9", "tolerance = 1e-6"), "re.cfg")
     assert main(["simulate", "--config", str(retuned)]) == 4
+
+
+def test_cached_policy_for_other_costs_is_a_model_mismatch(tmp_path) -> None:
+    # Same cap, window, discount and tolerance, so the policy header matches;
+    # only the cost points differ, and the cached values do not solve them.
+    text = BASE.replace("list = minslack, prio-minslack, alpha-minslack, constant",
+                        "list = optimal")
+    cfg = _config(tmp_path, text, "opt.cfg")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    cache = tmp_path / "policies" / "tiny.policy"
+    before = cache.read_bytes()
+    assert main(["simulate", "--config", str(cfg)]) == 0  # a cache hit that fits
+    costs = _config(tmp_path, text.replace("points = 1:0.9, 10:0.1", "points = 1:0.5, 20:0.5"),
+                    "costs.cfg")
+    assert main(["simulate", "--config", str(costs)]) == 4
+    assert cache.read_bytes() == before
 
 
 # =============================================================
@@ -293,6 +353,12 @@ def test_policy_diff_bad_file_is_a_config_error(tmp_path) -> None:
 # =============================================================
 # verify and exit codes
 # =============================================================
+
+
+def test_policy_diff_config_alias_is_labelled_a_policy_file(capsys) -> None:
+    with pytest.raises(SystemExit):
+        main(["policy-diff", "--help"])
+    assert "--config CONFIG  policy file path" in capsys.readouterr().out
 
 
 def test_verify_reports_all_pass(capsys) -> None:

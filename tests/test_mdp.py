@@ -370,10 +370,12 @@ def test_queue_to_mdp_state_counts_and_clamps() -> None:
         ExitRequest("c", 1, 1.0),
     ]
     state = _queue(reqs)
-    m = queue_to_mdp_state(state, FLAGSHIP, cap=3, budget=2, window=2)
+    m = queue_to_mdp_state(state, FLAGSHIP, window=2, cap=3)
     assert m == MdpState(2, 1, (0,))
-    clamped = queue_to_mdp_state(state, FLAGSHIP, cap=1, budget=2, window=2)
+    clamped = queue_to_mdp_state(state, FLAGSHIP, window=2, cap=1)
     assert clamped == MdpState(1, 1, (0,))
+    # Without a cap the counts stay as they are.
+    assert queue_to_mdp_state(state, FLAGSHIP, window=2) == MdpState(2, 1, (0,))
 
 
 def test_queue_to_mdp_state_reverses_recent_history() -> None:
@@ -381,7 +383,7 @@ def test_queue_to_mdp_state_reverses_recent_history() -> None:
     state = QueueState(
         constraints=cs, period=4, waiting=(), processed_totals=(2, 0, 1)
     )
-    m = queue_to_mdp_state(state, FLAGSHIP, cap=3, budget=2, window=3)
+    m = queue_to_mdp_state(state, FLAGSHIP, window=3)
     assert m.history == (1, 0)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from exitqueue.core import (
     step,
 )
 from exitqueue.distributions import Discrete, Exponential, Pareto, Uniform
-from exitqueue.errors import ConfigError, NoWithdrawals
+from exitqueue.errors import ConfigError, ModelMismatch, NoWithdrawals
 from exitqueue.mdp import ArrivalModel, OptimalMechanism, build_model, value_iteration
 from exitqueue.mechanisms import Mechanism
 from exitqueue.simulate import (
@@ -39,7 +40,6 @@ from exitqueue.simulate import (
     monte_carlo,
     run_trial,
     sample_arrival_schedule,
-    sample_arrivals,
     steady_state_disutility,
 )
 from exitqueue.simulate import _fastlane_eligible
@@ -185,15 +185,17 @@ def test_steady_state_raises_without_withdrawals() -> None:
 
 def test_sample_arrivals_quiet_period_is_empty() -> None:
     rng = np.random.default_rng(0)
-    assert sample_arrivals(rng, 3, Discrete((0,), (1.0,)), FLAGSHIP_VALUES) == []
+    assert sample_arrival_schedule(rng, 3, Discrete((0,), (1.0,)), FLAGSHIP_VALUES) == [[]] * 3
 
 
 def test_sample_arrivals_labels_requests_by_period() -> None:
     rng = np.random.default_rng(1)
-    batch = sample_arrivals(rng, 7, Discrete((3,), (1.0,)), FLAGSHIP_VALUES)
-    assert [r.validator for r in batch] == ["p7.0", "p7.1", "p7.2"]
-    assert all(r.requested_at == 7 for r in batch)
-    assert all(r.cost in (1.0, 10.0) for r in batch)
+    schedule = sample_arrival_schedule(rng, 7, Discrete((3,), (1.0,)), FLAGSHIP_VALUES)
+    assert len(schedule) == 7
+    for t, batch in enumerate(schedule, start=1):
+        assert [r.validator for r in batch] == [f"p{t}.0", f"p{t}.1", f"p{t}.2"]
+        assert all(r.requested_at == t for r in batch)
+        assert all(r.cost in (1.0, 10.0) for r in batch)
 
 
 def test_flagship_arrival_statistics() -> None:
@@ -441,6 +443,25 @@ def test_count_engine_matches_object_engine_for_optimal() -> None:
     for i in range(config.trials):
         r = run_trial(config, config.seed + i)
         assert summary.values[i] == discounted_reward(r, config.discount)
+
+
+def test_optimal_policy_that_does_not_fit_the_run_is_a_model_mismatch() -> None:
+    arrivals = ArrivalModel(FLAGSHIP_COUNTS.as_count_dist(), 0.1, 1.0, 10.0)
+    policy = value_iteration(
+        build_model(arrivals, cap=4, budget=2, window=5, discount=0.9), tolerance=1e-9
+    )
+    mech = OptimalMechanism(policy=policy, arrival_model=arrivals)
+    # Every drawn cost is 1.0, which the policy knows, but the run's cost
+    # points are not the ones it was solved for.
+    other_costs = replace(_flagship(mech), values=Discrete((1.0, 20.0), (1.0, 0.0)))
+    with pytest.raises(ModelMismatch):
+        monte_carlo(other_costs)
+    other_window = replace(_flagship(mech), constraints=ConstraintSet([Constraint(3, 5)]))
+    with pytest.raises(ModelMismatch):
+        monte_carlo(other_window)
+    steady = _flagship(mech, steps=30, metric="steady-state", discount=None)
+    assert not _fastlane_eligible(steady)
+    assert monte_carlo(steady).mechanism == "optimal"
 
 
 # =============================================================

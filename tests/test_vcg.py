@@ -111,3 +111,64 @@ def test_trajectory_validation() -> None:
     stochastic_policy = _policy(SPARSE, cap=4, budget=1, window=1)
     with pytest.raises(ConfigError):
         vcg_estimate(stochastic_policy, [[agent]], agent, SPARSE, samples=0)
+
+
+# Recorded before the payment rollouts were rewritten as one array of both
+# branches; every field must stay bit for bit. The cases reach what the
+# window-1 tests above do not: window history, several arrival periods,
+# a stochastic count distribution with Binomial class splits, and a
+# deterministic model that saturates its cap.
+PIN_STOCHASTIC = ArrivalModel(((0, 0.5), (1, 0.4), (5, 0.1)), 0.1, 1.0, 10.0)
+PIN_TRAJECTORY = [
+    [ExitRequest(f"lo{t}", t, 1.0), ExitRequest(f"hi{t}", t, 10.0)] for t in (1, 2, 3)
+]
+PIN_STOCHASTIC_ESTIMATES = {
+    ("lo1", 0): (1.3519971206697399, 0.057141025889412396),
+    ("lo1", 1): (1.4494788496241418, 0.05876599501106218),
+    ("hi1", 0): (1.3519971206697399, 0.057141025889412396),
+    ("hi1", 1): (1.4494788496241418, 0.05876599501106218),
+    ("lo2", 0): (2.2346898765793335, 0.05783595958671633),
+    ("lo2", 1): (2.2204530029855243, 0.05608103611632263),
+    ("hi2", 0): (4.160358776579334, 0.05834033822885417),
+    ("hi2", 1): (4.151257032985525, 0.056705443415866495),
+    ("lo3", 0): (3.5234473922739897, 0.055013606919224696),
+    ("lo3", 1): (3.446722541730339, 0.053720588444235384),
+    ("hi3", 0): (4.76982120957399, 0.06333466679116836),
+    ("hi3", 1): (4.712065157730338, 0.06152631560383995),
+}
+PIN_DETERMINISTIC = ArrivalModel(((2, 1.0),), 1.0, 1.0, 10.0)
+PIN_DETERMINISTIC_TRAJECTORY = [
+    [ExitRequest("a1", 1, 10.0), ExitRequest("b1", 1, 10.0)],
+    [ExitRequest("a2", 2, 10.0), ExitRequest("b2", 2, 1.0)],
+    [ExitRequest("a3", 3, 10.0), ExitRequest("b3", 3, 10.0)],
+]
+PIN_DETERMINISTIC_ESTIMATES = {
+    "a1": 47.36842104761604,
+    "b1": 47.36842104761604,
+    "a2": 89.9999999904702,
+    "b2": 0.0,
+    "a3": 99.99999999046747,
+    "b3": 80.99999999046747,
+}
+
+
+def test_stochastic_estimates_match_recorded_values_bitwise() -> None:
+    policy = _policy(PIN_STOCHASTIC, cap=6, budget=3, window=3)
+    agents = {r.validator: r for batch in PIN_TRAJECTORY for r in batch}
+    for (name, seed), (raw_mean, stderr) in PIN_STOCHASTIC_ESTIMATES.items():
+        est = vcg_estimate(
+            policy, PIN_TRAJECTORY, agents[name], PIN_STOCHASTIC, samples=3000, seed=seed
+        )
+        got = (est.raw_mean, est.stderr, est.payment, est.exact, est.samples)
+        assert got == (raw_mean, stderr, max(0.0, raw_mean), False, 3000), (name, seed)
+
+
+def test_deterministic_estimates_match_recorded_values_bitwise() -> None:
+    policy = _policy(PIN_DETERMINISTIC, cap=5, budget=2, window=2)
+    trajectory = PIN_DETERMINISTIC_TRAJECTORY
+    for batch in trajectory:
+        for agent in batch:
+            est = vcg_estimate(policy, trajectory, agent, PIN_DETERMINISTIC)
+            raw_mean = PIN_DETERMINISTIC_ESTIMATES[agent.validator]
+            got = (est.raw_mean, est.stderr, est.payment, est.exact, est.samples)
+            assert got == (raw_mean, 0.0, raw_mean, True, 1), agent.validator

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -150,6 +151,22 @@ def _pairs(raw: str, what: str) -> list[tuple[str, str]]:
     return out
 
 
+def _delta(raw: str, mode: ConstraintMode) -> Fraction | int:
+    if mode is ConstraintMode.ABSOLUTE_COUNT:
+        return int(raw)
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise ConfigError(f"[constraints] windows delta {raw!r} has a zero denominator") from None
+
+
+def _finite(section: configparser.SectionProxy, key: str, fallback: float) -> float:
+    value = section.getfloat(key, fallback)
+    if not math.isfinite(value):
+        raise ConfigError(f"[values] {key} must be finite, got {value}")
+    return value
+
+
 def _values_dist(section: configparser.SectionProxy, kind: str) -> ValueDistribution:
     if kind == "discrete":
         pairs = _pairs(section.get("points", ""), "[values] points")
@@ -158,7 +175,7 @@ def _values_dist(section: configparser.SectionProxy, kind: str) -> ValueDistribu
             probs=tuple(float(p) for _, p in pairs),
         )
     if kind == "uniform":
-        return Uniform(section.getfloat("lo", 0.0), section.getfloat("hi", 1.0))
+        return Uniform(_finite(section, "lo", 0.0), _finite(section, "hi", 1.0))
     if kind == "exponential":
         if "rate" in section:
             return Exponential(section.getfloat("rate"), ExpConvention.RATE)
@@ -219,9 +236,13 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
         name = exp.get("name", path.stem)
         metric = exp.get("metric", "discounted").strip()
         steps = exp.getint("steps")
+        if steps is None:
+            raise ConfigError("[experiment] steps is required")
         trials = exp.getint("trials", 1)
         seed = exp.getint("seed", 0)
         discount = exp.getfloat("discount", fallback=None)
+        if discount is not None and metric == "steady-state":
+            raise ConfigError("[experiment] discount applies to the discounted metric only")
         burn_in = exp.getint("burn_in", 0)
         bin_width = exp.getfloat("bin_width", 0.1)
 
@@ -232,7 +253,7 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
             else ConstraintMode.ABSOLUTE_COUNT
         )
         windows = [
-            Constraint(Fraction(d) if mode is ConstraintMode.FRACTION_OF_STAKE else int(d), int(w))
+            Constraint(_delta(d, mode), int(w))
             for d, w in _pairs(cons.get("windows", ""), "[constraints] windows")
         ]
         constraints = ConstraintSet(windows, mode)

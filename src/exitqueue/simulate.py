@@ -17,14 +17,25 @@ recorded. Two metrics summarize a trial:
     backlog matters (reports note this rule).
 
 monte_carlo runs trials at seeds seed, seed+1, ... and aggregates one metric.
-Trials are independent. Count-only configurations (two cost levels, unit stakes, one
-absolute constraint, a priority mechanism, discounted metric) are routed
-through a vectorized engine that replays bit-identical arrival streams; its
-equivalence with the object engine is pinned by tests.
+Trials are independent, and every trial draws requests of stake 1 and bid 0.
+The route follows from the config, and all three replay the same arrival
+streams with results bit-identical to run_trial's, as tests pin:
+
+  * the count engine, vectorized across trials, takes configurations whose
+    queue is a pair of class counts under the discounted metric: an optimal
+    policy, or a cost-ordered Mechanism with two cost levels and one
+    absolute constraint;
+  * the unit-stake engine takes every other Mechanism. With unit stakes a
+    Mechanism processes min(capacity(min_slack), waiting) requests whatever
+    its order, so the counts follow from the arrivals alone and the order
+    only decides who leaves;
+  * run_trial, the object engine, takes an optimal policy under the
+    steady-state metric, whose served count depends on the costs waiting.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -47,6 +58,7 @@ from .errors import (
     ModelMismatch,
     NoWithdrawals,
 )
+from . import mechanisms
 from .mechanisms import Mechanism
 from .mdp import OptimalMechanism, serve
 
@@ -143,13 +155,23 @@ def sample_arrival_schedule(
     """Whole-trial arrival schedule: one batch per period, labelled
     ``p<period>.<i>`` and requested at that period."""
     counts, costs = _draw_arrivals(rng, steps, arrival_counts, values)
-    costs = costs.tolist()
+    counts = counts.tolist()
+    requests = _requests(counts, costs.tolist())
     schedule: list[list[ExitRequest]] = []
     pos = 0
-    for t, k in enumerate(counts.tolist(), start=1):
-        schedule.append([ExitRequest(f"p{t}.{i}", t, costs[pos + i]) for i in range(k)])
+    for k in counts:
+        schedule.append(requests[pos : pos + k])
         pos += k
     return schedule
+
+
+def _requests(counts: list[int], costs: list[float]) -> list[ExitRequest]:
+    """Every request of a trial in arrival order, labelled ``p<period>.<i>``."""
+    out: list[ExitRequest] = []
+    for t, k in enumerate(counts, start=1):
+        pos = len(out)
+        out.extend(ExitRequest(f"p{t}.{i}", t, costs[pos + i]) for i in range(k))
+    return out
 
 
 def run_trial(config: SimulationConfig, seed: int) -> TrialResult:
@@ -320,7 +342,11 @@ def monte_carlo(config: SimulationConfig) -> MonteCarloSummary:
         weights = _discount_weights(config.discount, config.steps)
         values = [_discounted(row, weights, config.discount) for row in streams]
         return _summarize(values, config)
+    if isinstance(config.mechanism, Mechanism):
+        return _summarize(_unit_stake_values(config), config)
 
+    # Only an optimal policy under the steady-state metric gets here: its
+    # served count depends on the costs waiting, so it replays run_trial.
     values = []
     for i in range(config.trials):
         r = run_trial(config, config.seed + i)
@@ -375,7 +401,7 @@ def make_histogram(values: Sequence[float], bin_width: float = 0.1) -> list[Hist
 # (low, high) waiting counts: two cost levels, unit stakes, one absolute
 # constraint, highest-cost-first mechanisms, discounted metric. FCFS-ordered
 # mechanisms interleave classes by arrival order, which counts alone cannot
-# express, and bids are not counted, so both stay on the object engine.
+# express, and bids are not counted, so both go to the unit-stake engine.
 
 
 def _fastlane_eligible(config: SimulationConfig) -> bool:
@@ -472,6 +498,174 @@ def _fastlane_audit(processed: np.ndarray, config: SimulationConfig) -> None:
             raise FeasibilityViolation(
                 f"{config.mechanism.name} violated the ({budget},{window}) window"
             )
+
+
+# =============================================================
+# Unit-stake engine
+# =============================================================
+#
+# Every request a trial draws has stake 1 and bid 0, so a Mechanism processes
+# exactly min(capacity(min_slack), waiting) requests each period, in any
+# order: the count trace follows from the arrival counts alone. The order
+# only decides who leaves, and each metric is summed with math.fsum over the
+# same multisets that run_trial's result gives it, so the two agree bit for
+# bit.
+
+
+def _unit_count_trace(counts: list[int], config: SimulationConfig) -> list[int]:
+    """Cumulative processed counts: entry k is the total over periods 1..k.
+
+    The window of constraint (delta, T) at period t holds what periods
+    t-T+1 .. t-1 processed, and its capacity is delta, or in fraction mode
+    floor(delta * stake at the anchor t-T), the stake being the initial
+    stake less everything processed. Raises ConfigError, as step does, when
+    a run processes more than its initial stake.
+    """
+    mech = config.mechanism
+    fraction = config.constraints.mode is ConstraintMode.FRACTION_OF_STAKE
+    stake0 = config.initial_stake
+    limits = [(c.window, c.delta.numerator, c.delta.denominator) for c in config.constraints]
+    table: dict[int, int] = {}  # mech.capacity by slack
+    cum = [0]
+    waiting = 0
+    for t, arrived in enumerate(counts, start=1):
+        waiting += arrived
+        done = cum[-1]
+        # x: processed before the window opens (pre-genesis anchors read 0).
+        if fraction:
+            free = min([
+                (stake0 - x) * num // den + x - done
+                for w, num, den in limits
+                for x in (cum[t - w] if t > w else 0,)
+            ])
+        else:
+            free = min([num + (cum[t - w] if t > w else 0) - done for w, num, _ in limits])
+        if free < 0:
+            free = 0
+        take = table.get(free)
+        if take is None:
+            take = table[free] = mech.capacity(free)
+        if take > waiting:
+            take = waiting
+        waiting -= take
+        cum.append(done + take)
+    if stake0 is not None and cum[-1] > stake0:
+        raise ConfigError("stake_history entries must be nonnegative")
+    return cum
+
+
+def _unit_audit(cum: np.ndarray, config: SimulationConfig) -> None:
+    """check_trace_feasible on one trial, vectorized over the anchor periods.
+
+    Every constraint's window from each anchor t0 = 0 .. n-1 must fit its
+    capacity at the stake left after period t0; fraction capacities are
+    floored in exact integers.
+    """
+    n = cum.size - 1
+    opened = cum[:-1]
+    fraction = config.constraints.mode is ConstraintMode.FRACTION_OF_STAKE
+    for c in config.constraints:
+        used = cum[np.minimum(np.arange(n) + c.window, n)] - opened
+        if fraction:
+            stake = config.initial_stake - opened.astype(object)
+            cap = stake * c.delta.numerator // c.delta.denominator
+        else:
+            cap = c.delta.numerator
+        if np.any(used > cap):
+            raise FeasibilityViolation(
+                f"{config.mechanism.name} produced an infeasible trace "
+                f"{tuple(np.diff(cum).tolist())}"
+            )
+
+
+def _unit_served(
+    counts: list[int], costs: np.ndarray, trace: list[int], order: str
+) -> list[int]:
+    """Arrival-stream indices of the processed requests, in processing order.
+
+    FCFS serves a prefix of the stream. Cost and bid orders pop a heap of
+    ranks, taken from one ``mechanisms._by_cost_desc`` call over the trial's
+    requests: a stable sort, so its order restricted to any waiting list is
+    the order ``select`` gives that list.
+    """
+    if order == "fcfs":
+        return list(range(sum(trace)))
+    requests = _requests(counts, costs.tolist())
+    index = {id(r): j for j, r in enumerate(requests)}
+    by_rank = [index[id(r)] for r in mechanisms._by_cost_desc(requests, order)]
+    rank = [0] * len(by_rank)
+    for k, j in enumerate(by_rank):
+        rank[j] = k
+    push, pop = heapq.heappush, heapq.heappop
+    heap: list[int] = []
+    served: list[int] = []
+    pos = 0
+    for arrived, take in zip(counts, trace):
+        for k in rank[pos : pos + arrived]:
+            push(heap, k)
+        pos += arrived
+        served += [by_rank[pop(heap)] for _ in range(take)]
+    return served
+
+
+def _unit_score(
+    config: SimulationConfig,
+    counts: list[int],
+    costs: np.ndarray,
+    trace: list[int],
+    served: list[int],
+    weights: np.ndarray | None,
+) -> float:
+    """The trial's metric, from who was served in which period."""
+    n = config.steps
+    if config.metric == "steady-state":
+        periods = np.arange(1, n + 1)
+        arrived = np.repeat(periods, counts)
+        done = np.full(costs.size, n + 1)
+        done[served] = np.repeat(periods, trace)
+        # Leftovers are charged as if processed in the final period.
+        counted = done > config.burn_in
+        delay = np.minimum(done, n)[counted] - arrived[counted]
+        terms = (-costs[counted] * delay).tolist()
+        if not terms:
+            raise NoWithdrawals(f"no withdrawals processed after period {config.burn_in}")
+        return math.fsum(terms) / len(terms)
+
+    cost = costs.tolist()
+    live: set[int] = set()
+    stream = []
+    pos = out = 0
+    for arrived, take in zip(counts, trace):
+        live.update(range(pos, pos + arrived))
+        pos += arrived
+        batch = served[out : out + take]
+        out += take
+        live.difference_update(batch)
+        # run_trial's penalty, less the costs of the batch processed.
+        stream.append(
+            -math.fsum(map(cost.__getitem__, live)) - math.fsum(map(cost.__getitem__, batch))
+        )
+    return _discounted(np.asarray(stream), weights, config.discount)
+
+
+def _unit_stake_values(config: SimulationConfig) -> list[float]:
+    """Every trial's metric for a Mechanism, trial by trial as monte_carlo's
+    run_trial loop would give them: each trace is audited before it is
+    scored, and each failure is the one run_trial and the metric raise."""
+    weights = None
+    if config.metric == "discounted":
+        weights = _discount_weights(config.discount, config.steps)
+    values = []
+    for i in range(config.trials):
+        rng = np.random.default_rng(config.seed + i)
+        counts, costs = _draw_arrivals(rng, config.steps, config.arrival_counts, config.values)
+        counts = counts.tolist()
+        cum = _unit_count_trace(counts, config)
+        _unit_audit(np.asarray(cum, dtype=np.int64), config)
+        trace = [b - a for a, b in zip(cum, cum[1:])]
+        served = _unit_served(counts, costs, trace, config.mechanism.order)
+        values.append(_unit_score(config, counts, costs, trace, served, weights))
+    return values
 
 
 # =============================================================

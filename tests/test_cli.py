@@ -129,6 +129,30 @@ def test_load_experiment_rejects_keys_it_does_not_read(tmp_path, old, new, named
     assert main(["simulate", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    ("old", "new", "named"),
+    [
+        ("steps = 12\n", "", "[experiment] steps"),
+        (
+            "mode = absolute\nwindows = 2:3",
+            "mode = fraction\nwindows = 1/0:3\ninitial_stake = 100",
+            "[constraints] windows",
+        ),
+        ("kind = discrete\npoints = 1:0.9, 10:0.1", "kind = uniform\nlo = 0\nhi = inf", "[values] hi"),
+        ("metric = discounted", "metric = steady-state", "[experiment] discount"),
+    ],
+    ids=["missing-steps", "zero-denominator", "infinite-uniform", "steady-state-discount"],
+)
+def test_load_experiment_names_the_bad_field(tmp_path, capsys, old, new, named) -> None:
+    from exitqueue.errors import ConfigError
+
+    cfg = _config(tmp_path, BASE.replace(old, new, 1), "bad.cfg")
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_experiment(cfg)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_load_experiment_policy_needs_the_two_class_model(tmp_path) -> None:
     from exitqueue.errors import ConfigError
 
@@ -308,10 +332,13 @@ def test_histogram_density_normalizes(tmp_path, capsys) -> None:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_histogram_rejects_steady_state(tmp_path) -> None:
-    text = BASE.replace("metric = discounted", "metric = steady-state")
+def test_histogram_rejects_steady_state(tmp_path, capsys) -> None:
+    text = BASE.replace("metric = discounted", "metric = steady-state").replace(
+        "discount = 0.9", "burn_in = 2"
+    )
     cfg = _config(tmp_path, text, "steady.cfg")
     assert main(["histogram", "--config", str(cfg)]) == 2
+    assert "histograms are defined for the discounted metric" in capsys.readouterr().err
 
 
 # =============================================================

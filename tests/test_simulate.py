@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from exitqueue.core import (
     step,
 )
 from exitqueue.distributions import Discrete, Exponential, Pareto, Uniform
-from exitqueue.errors import ConfigError, ModelMismatch, NoWithdrawals
+from exitqueue import mechanisms, simulate
+from exitqueue.errors import ConfigError, FeasibilityViolation, ModelMismatch, NoWithdrawals
 from exitqueue.mdp import ArrivalModel, OptimalMechanism, build_model, value_iteration
 from exitqueue.mechanisms import Mechanism
 from exitqueue.simulate import (
@@ -42,7 +44,7 @@ from exitqueue.simulate import (
     sample_arrival_schedule,
     steady_state_disutility,
 )
-from exitqueue.simulate import _fastlane_eligible
+from exitqueue.simulate import _fastlane_eligible, _unit_audit, _unit_stake_values
 
 FLAGSHIP_COUNTS = Discrete((0, 1, 5), (0.5, 0.4, 0.1))
 FLAGSHIP_VALUES = Discrete((1, 10), (0.9, 0.1))
@@ -462,6 +464,149 @@ def test_optimal_policy_that_does_not_fit_the_run_is_a_model_mismatch() -> None:
     steady = _flagship(mech, steps=30, metric="steady-state", discount=None)
     assert not _fastlane_eligible(steady)
     assert monte_carlo(steady).mechanism == "optimal"
+
+
+# =============================================================
+# Unit-stake engine parity
+# =============================================================
+#
+# Every Mechanism that the count engine does not take runs through the
+# unit-stake engine, which must give run_trial's metric bit for bit. The
+# engine is called directly, so configurations the count engine would take
+# are covered too.
+
+_UNIT_MECHANISMS = [
+    Mechanism.minslack(),
+    Mechanism.prio_minslack(),
+    Mechanism.prio_minslack(sort_key="bid"),
+    Mechanism.alpha_minslack("0.7"),
+    Mechanism.alpha_minslack("0.9", sort_key="bid"),
+    Mechanism.constant(2),
+    Mechanism.constant(2, sort_key="bid"),
+    Mechanism.constant(1, sort_key="fcfs"),
+]
+_FRACTION = ConstraintMode.FRACTION_OF_STAKE
+# (constraints, initial_stake): capacities below the mean arrival rate of
+# 0.9, so queues build and the order matters; the fraction windows shrink
+# as the stake leaves.
+_UNIT_CONSTRAINTS = {
+    "absolute": (ConstraintSet([Constraint(3, 4)]), None),
+    "absolute-staked": (ConstraintSet([Constraint(3, 4)]), 1_000),
+    "two-windows": (ConstraintSet([Constraint(2, 3), Constraint(5, 8)]), None),
+    "fraction": (ConstraintSet([Constraint("1/50", 1), Constraint("1/20", 6)], _FRACTION), 200),
+}
+_UNIT_VALUES = [FLAGSHIP_VALUES, Uniform(0.0, 1.0), Exponential(0.5), Pareto(2.0, 5.0)]
+
+
+def _object_values(config: SimulationConfig) -> list[float]:
+    out = []
+    for i in range(config.trials):
+        r = run_trial(config, config.seed + i)
+        if config.metric == "discounted":
+            out.append(discounted_reward(r, config.discount))
+        else:
+            out.append(steady_state_disutility(r, config.burn_in))
+    return out
+
+
+@pytest.mark.parametrize("metric", ["discounted", "steady-state"])
+@pytest.mark.parametrize("mechanism", _UNIT_MECHANISMS, ids=lambda m: f"{m.name}-{m.order}")
+def test_unit_stake_engine_matches_object_engine_bitwise(mechanism, metric) -> None:
+    for label, (constraints, stake) in _UNIT_CONSTRAINTS.items():
+        for values in _UNIT_VALUES:
+            config = SimulationConfig(
+                constraints=constraints,
+                mechanism=mechanism,
+                arrival_counts=FLAGSHIP_COUNTS,
+                values=values,
+                steps=60,
+                trials=2,
+                seed=31,
+                metric=metric,
+                discount=0.9 if metric == "discounted" else None,
+                burn_in=10,
+                initial_stake=stake,
+            )
+            want = _object_values(config)
+            assert _unit_stake_values(config) == want, (label, values)
+
+
+def test_monte_carlo_runs_mechanisms_without_run_trial(monkeypatch) -> None:
+    def refuse(config, seed):
+        raise AssertionError("run_trial called")
+
+    config = _flagship(Mechanism.minslack(), steps=40, trials=3, metric="steady-state",
+                       discount=None, burn_in=5)
+    want = _object_values(config)
+    monkeypatch.setattr(simulate, "run_trial", refuse)
+    assert not _fastlane_eligible(config)
+    assert list(monte_carlo(config).values) == want
+
+
+def test_unit_stake_engine_takes_its_order_from_by_cost_desc(monkeypatch) -> None:
+    config = SimulationConfig(
+        constraints=ConstraintSet([Constraint(3, 4)]),
+        mechanism=Mechanism.prio_minslack(),
+        arrival_counts=FLAGSHIP_COUNTS,
+        values=Pareto(2.0, 5.0),
+        steps=200,
+        trials=2,
+        metric="steady-state",
+        burn_in=20,
+    )
+    costliest_first = _unit_stake_values(config)
+
+    def cheapest_first(waiting, sort_key):
+        return sorted(mechanisms._fcfs(waiting), key=lambda r: r.cost)
+
+    monkeypatch.setattr(mechanisms, "_by_cost_desc", cheapest_first)
+    got = _unit_stake_values(config)
+    assert got != costliest_first
+    assert got == _object_values(config)
+    assert list(monte_carlo(config).values) == got
+
+
+def test_unit_stake_engine_raises_where_run_trial_does() -> None:
+    # An absolute run that processes more than its initial stake.
+    config = _flagship(Mechanism.minslack(), steps=40, trials=1, initial_stake=3)
+    with pytest.raises(ConfigError, match="nonnegative"):
+        run_trial(config, 0)
+    with pytest.raises(ConfigError, match="nonnegative"):
+        monte_carlo(config)
+    quiet = replace(config, arrival_counts=Discrete((0,), (1.0,)), metric="steady-state",
+                    discount=None, initial_stake=None)
+    with pytest.raises(NoWithdrawals):
+        monte_carlo(quiet)
+
+
+@given(
+    totals=st.lists(st.integers(0, 6), min_size=1, max_size=12),
+    windows=st.lists(st.tuples(st.integers(0, 8), st.integers(1, 5)), min_size=1, max_size=3),
+    fraction=st.booleans(),
+    stake=st.integers(0, 80),
+)
+@settings(max_examples=200, deadline=None)
+def test_unit_audit_agrees_with_check_trace_feasible(totals, windows, fraction, stake) -> None:
+    if fraction:
+        cs = ConstraintSet([Constraint(Fraction(d, 8), w) for d, w in windows], _FRACTION)
+    else:
+        cs = ConstraintSet([Constraint(d, w) for d, w in windows])
+    cum = np.concatenate([[0], np.cumsum(totals)])
+    config = SimulationConfig(
+        constraints=cs,
+        mechanism=Mechanism.minslack(),
+        arrival_counts=FLAGSHIP_COUNTS,
+        values=FLAGSHIP_VALUES,
+        steps=len(totals),
+        discount=0.9,
+        initial_stake=stake,
+    )
+    history = [stake - int(c) for c in cum]
+    if check_trace_feasible(totals, history, cs):
+        _unit_audit(cum, config)
+    else:
+        with pytest.raises(FeasibilityViolation):
+            _unit_audit(cum, config)
 
 
 # =============================================================

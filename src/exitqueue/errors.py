@@ -63,8 +63,9 @@ class InstanceTooLarge(ExitQueueError):
     """Brute-force schedule enumeration would exceed its node budget."""
 
 
-class NoWithdrawals(ExitQueueError):
-    """No processed or leftover withdrawals to average after burn-in."""
+class NoWithdrawals(ConfigError):
+    """No processed or leftover withdrawals to average after burn-in: the
+    configured arrivals and burn_in leave the steady-state metric undefined."""
 
 
 class FeasibilityViolation(ExitQueueError):

@@ -652,6 +652,7 @@ class OptimalMechanism:
 
     policy: Policy
     arrival_model: ArrivalModel
+    order = "cost"  # optimal_select takes a prefix of _by_cost_desc
 
     @property
     def name(self) -> str:

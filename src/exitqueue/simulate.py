@@ -18,19 +18,20 @@ recorded. Two metrics summarize a trial:
 
 monte_carlo runs trials at seeds seed, seed+1, ... and aggregates one metric.
 Trials are independent, and every trial draws requests of stake 1 and bid 0.
-The route follows from the config, and all three replay the same arrival
-streams with results bit-identical to run_trial's, as tests pin:
+Two engines replay the same arrival streams, with results bit-identical to
+run_trial's, as tests pin. The queue's shape picks the engine:
 
-  * the count engine, vectorized across trials, takes configurations whose
-    queue is a pair of class counts under the discounted metric: an optimal
-    policy, or a cost-ordered Mechanism with two cost levels and one
-    absolute constraint;
+  * the count engine, vectorized across trials, takes a queue that is a
+    pair of class counts: one absolute constraint, two cost points and a
+    cost order, as an optimal policy always has;
   * the unit-stake engine takes every other Mechanism. With unit stakes a
     Mechanism processes min(capacity(min_slack), waiting) requests whatever
     its order, so the counts follow from the arrivals alone and the order
-    only decides who leaves;
-  * run_trial, the object engine, takes an optimal policy under the
-    steady-state metric, whose served count depends on the costs waiting.
+    only decides who leaves.
+
+Either engine yields each trial's cumulative processed counts, and one
+audit checks every trial's counts against the constraints before the trial
+is scored.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .core import (
     ConstraintSet,
     ExitRequest,
     QueueState,
-    check_trace_feasible,
     step,
 )
 from .distributions import Discrete, ValueDistribution
@@ -258,14 +258,8 @@ def steady_state_disutility(result: TrialResult, burn_in: int) -> float:
     end = result.steps
     terms.extend(-r.cost * (end - r.requested_at) for r in result.final_state.waiting)
     if not terms:
-        raise NoWithdrawals(f"no withdrawals processed after period {burn_in}")
+        raise NoWithdrawals(f"no withdrawals to average after burn_in = {burn_in}")
     return math.fsum(terms) / len(terms)
-
-
-def _score(result: TrialResult, config: SimulationConfig) -> float:
-    if config.metric == "discounted":
-        return discounted_reward(result, config.discount)
-    return steady_state_disutility(result, config.burn_in)
 
 
 # =============================================================
@@ -294,18 +288,6 @@ class MonteCarloSummary:
         return make_histogram(self.values, bin_width)
 
 
-def _audit_trace(
-    trace: Sequence[int],
-    stake_history: Sequence[int] | None,
-    constraints: ConstraintSet,
-    mechanism_name: str,
-) -> None:
-    if not check_trace_feasible(tuple(trace), stake_history, constraints):
-        raise FeasibilityViolation(
-            f"{mechanism_name} produced an infeasible trace {tuple(trace)}"
-        )
-
-
 def _summarize(values: Sequence[float], config: SimulationConfig) -> MonteCarloSummary:
     arr = np.asarray(values, dtype=np.float64)
     n = arr.size
@@ -331,29 +313,20 @@ def _summarize(values: Sequence[float], config: SimulationConfig) -> MonteCarloS
 def monte_carlo(config: SimulationConfig) -> MonteCarloSummary:
     """Run `trials` trials at seeds seed, seed+1, ... and aggregate the metric.
 
-    Every trial's trace is audited against the constraint set before
-    aggregation.
+    Every trial's trace is audited against the constraint set before it is
+    scored.
     """
     if isinstance(config.mechanism, OptimalMechanism):
         _check_policy_fits(config.mechanism, config)
-    if _fastlane_eligible(config):
-        streams, traces = _fastlane_arrays(config)
-        _fastlane_audit(traces, config)
+    if not _fastlane_eligible(config):
+        return _summarize(_unit_stake_values(config), config)
+    streams, cum = _fastlane_arrays(config)
+    _unit_audit(cum, config, config.seed)
+    if config.metric == "discounted":
         weights = _discount_weights(config.discount, config.steps)
         values = [_discounted(row, weights, config.discount) for row in streams]
-        return _summarize(values, config)
-    if isinstance(config.mechanism, Mechanism):
-        return _summarize(_unit_stake_values(config), config)
-
-    # Only an optimal policy under the steady-state metric gets here: its
-    # served count depends on the costs waiting, so it replays run_trial.
-    values = []
-    for i in range(config.trials):
-        r = run_trial(config, config.seed + i)
-        _audit_trace(
-            r.trace, r.final_state.stake_history, config.constraints, config.mechanism.name
-        )
-        values.append(_score(r, config))
+    else:
+        values = _unit_stake_values(config, cum)
     return _summarize(values, config)
 
 
@@ -397,25 +370,22 @@ def make_histogram(values: Sequence[float], bin_width: float = 0.1) -> list[Hist
 # Vectorized count engine
 # =============================================================
 #
-# Restricted to configurations whose queue dynamics are a function of the
-# (low, high) waiting counts: two cost levels, unit stakes, one absolute
-# constraint, highest-cost-first mechanisms, discounted metric. FCFS-ordered
-# mechanisms interleave classes by arrival order, which counts alone cannot
-# express, and bids are not counted, so both go to the unit-stake engine.
+# Restricted to queues whose dynamics are a function of the (low, high)
+# waiting counts: two cost levels, unit stakes, one absolute constraint and
+# a highest-cost-first order, as every optimal policy that passes
+# _check_policy_fits has. FCFS orders interleave classes by arrival order,
+# which counts alone cannot express, and bids are not counted, so both go
+# to the unit-stake engine. The steady-state metric needs who left when,
+# so its counts go to the unit-stake engine's scoring.
 
 
 def _fastlane_eligible(config: SimulationConfig) -> bool:
-    if config.metric != "discounted":
-        return False
-    m = config.mechanism
-    if isinstance(m, OptimalMechanism):
-        return True  # monte_carlo has checked that the policy fits the run
     cs = config.constraints
     if cs.mode is not ConstraintMode.ABSOLUTE_COUNT or len(cs) != 1:
         return False
     if not isinstance(config.values, Discrete) or len(config.values.points) != 2:
         return False
-    return m.order == "cost"
+    return config.mechanism.order == "cost"
 
 
 def _check_policy_fits(mech: OptimalMechanism, config: SimulationConfig) -> None:
@@ -431,17 +401,20 @@ def _check_policy_fits(mech: OptimalMechanism, config: SimulationConfig) -> None
 
 
 def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Queue-cost and processed-count matrices (trials x steps), lockstep
-    with run_trial's arrival streams. Queue costs charge the pending queue
-    before removal, mirroring discounted_reward's penalty-minus-fees stream
-    operation for operation so both engines round identically."""
+    """Queue costs (trials x steps) and cumulative processed counts (trials
+    x steps+1), lockstep with run_trial's arrival streams. Queue costs
+    charge the pending queue before removal, mirroring discounted_reward's
+    penalty-minus-fees stream operation for operation so both engines round
+    identically."""
     m, n = config.trials, config.steps
     cost_lo, cost_hi = sorted(float(p) for p in config.values.points)
     budget = int(config.constraints[0].delta)
     window = config.constraints[0].window
 
-    counts = np.empty((m, n), dtype=np.int64)
-    highs = np.empty((m, n), dtype=np.int64)
+    # From the ints, not the points: a Discrete may hold floats (5.0 -> float16).
+    small = np.min_scalar_type(max(k for k, _ in config.arrival_counts.as_count_dist()))
+    counts = np.empty((m, n), dtype=small)
+    highs = np.empty((m, n), dtype=small)
     for i in range(m):
         rng = np.random.default_rng(config.seed + i)
         c, costs = _draw_arrivals(rng, n, config.arrival_counts, config.values)
@@ -464,7 +437,7 @@ def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     w_high = np.zeros(m, dtype=np.int64)
     hist = np.zeros((m, window - 1), dtype=np.int64)
     streams = np.empty((m, n), dtype=np.float64)
-    processed = np.empty((m, n), dtype=np.int64)
+    cum = np.zeros((m, n + 1), dtype=np.int64)
 
     w_low += counts[:, 0] - highs[:, 0]
     w_high += highs[:, 0]
@@ -479,25 +452,11 @@ def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
         penalty = -(cost_lo * w_low + cost_hi * w_high)
         fee = cost_lo * done_low + cost_hi * done_high
         streams[:, t] = penalty - fee
-        processed[:, t] = take
+        np.add(cum[:, t], take, out=cum[:, t + 1])
         if t + 1 < n:
             w_high += highs[:, t + 1]
             w_low += counts[:, t + 1] - highs[:, t + 1]
-    return streams, processed
-
-
-def _fastlane_audit(processed: np.ndarray, config: SimulationConfig) -> None:
-    budget = int(config.constraints[0].delta)
-    window = config.constraints[0].window
-    n = processed.shape[1]
-    cum = np.zeros((processed.shape[0], n + 1), dtype=np.int64)
-    np.cumsum(processed, axis=1, out=cum[:, 1:])
-    for t0 in range(n):
-        hi = min(t0 + window, n)
-        if np.any(cum[:, hi] - cum[:, t0] > budget):
-            raise FeasibilityViolation(
-                f"{config.mechanism.name} violated the ({budget},{window}) window"
-            )
+    return streams, cum
 
 
 # =============================================================
@@ -554,28 +513,34 @@ def _unit_count_trace(counts: list[int], config: SimulationConfig) -> list[int]:
     return cum
 
 
-def _unit_audit(cum: np.ndarray, config: SimulationConfig) -> None:
-    """check_trace_feasible on one trial, vectorized over the anchor periods.
+def _unit_audit(cum: np.ndarray, config: SimulationConfig, seed: int) -> None:
+    """check_trace_feasible on every trial, vectorized over the anchor periods.
 
-    Every constraint's window from each anchor t0 = 0 .. n-1 must fit its
-    capacity at the stake left after period t0; fraction capacities are
-    floored in exact integers.
+    ``cum`` holds cumulative processed counts, shape (..., n+1), one row per
+    trial at seeds seed, seed+1, ... Every constraint's window from each
+    anchor t0 = 0 .. n-1 must fit its capacity at the stake left after
+    period t0; fraction capacities are floored in exact integers.
     """
-    n = cum.size - 1
-    opened = cum[:-1]
+    rows = cum.reshape(-1, cum.shape[-1])
+    n = rows.shape[1] - 1
+    opened = rows[:, :-1]
     fraction = config.constraints.mode is ConstraintMode.FRACTION_OF_STAKE
+    bad = np.zeros(rows.shape[0], dtype=bool)
     for c in config.constraints:
-        used = cum[np.minimum(np.arange(n) + c.window, n)] - opened
+        used = rows.take(np.minimum(np.arange(n) + c.window, n), axis=1)
+        used -= opened
         if fraction:
             stake = config.initial_stake - opened.astype(object)
             cap = stake * c.delta.numerator // c.delta.denominator
         else:
             cap = c.delta.numerator
-        if np.any(used > cap):
-            raise FeasibilityViolation(
-                f"{config.mechanism.name} produced an infeasible trace "
-                f"{tuple(np.diff(cum).tolist())}"
-            )
+        bad |= (used > cap).any(axis=1)
+    if bad.any():
+        row = int(bad.argmax())
+        raise FeasibilityViolation(
+            f"{config.mechanism.name} produced an infeasible trace at seed "
+            f"{seed + row}: {tuple(np.diff(rows[row]).tolist())}"
+        )
 
 
 def _unit_served(
@@ -628,7 +593,7 @@ def _unit_score(
         delay = np.minimum(done, n)[counted] - arrived[counted]
         terms = (-costs[counted] * delay).tolist()
         if not terms:
-            raise NoWithdrawals(f"no withdrawals processed after period {config.burn_in}")
+            raise NoWithdrawals(f"no withdrawals to average after burn_in = {config.burn_in}")
         return math.fsum(terms) / len(terms)
 
     cost = costs.tolist()
@@ -648,10 +613,14 @@ def _unit_score(
     return _discounted(np.asarray(stream), weights, config.discount)
 
 
-def _unit_stake_values(config: SimulationConfig) -> list[float]:
-    """Every trial's metric for a Mechanism, trial by trial as monte_carlo's
-    run_trial loop would give them: each trace is audited before it is
-    scored, and each failure is the one run_trial and the metric raise."""
+def _unit_stake_values(config: SimulationConfig, cum: np.ndarray | None = None) -> list[float]:
+    """Every trial's metric, trial by trial as run_trial and the metric
+    functions would give them, each failure being the one they raise.
+
+    ``cum`` is the count engine's audited cumulative counts, one row per
+    trial. Without it, each trial's counts come from _unit_count_trace and
+    are audited before the trial is scored.
+    """
     weights = None
     if config.metric == "discounted":
         weights = _discount_weights(config.discount, config.steps)
@@ -660,9 +629,12 @@ def _unit_stake_values(config: SimulationConfig) -> list[float]:
         rng = np.random.default_rng(config.seed + i)
         counts, costs = _draw_arrivals(rng, config.steps, config.arrival_counts, config.values)
         counts = counts.tolist()
-        cum = _unit_count_trace(counts, config)
-        _unit_audit(np.asarray(cum, dtype=np.int64), config)
-        trace = [b - a for a, b in zip(cum, cum[1:])]
+        if cum is None:
+            trial_cum = np.asarray(_unit_count_trace(counts, config), dtype=np.int64)
+            _unit_audit(trial_cum, config, config.seed + i)
+        else:
+            trial_cum = cum[i]
+        trace = np.diff(trial_cum).tolist()
         served = _unit_served(counts, costs, trace, config.mechanism.order)
         values.append(_unit_score(config, counts, costs, trace, served, weights))
     return values

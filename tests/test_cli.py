@@ -214,6 +214,17 @@ def test_simulate_steady_state_leaves_gamma_blank(tmp_path, capsys) -> None:
     assert all(r[1] == "steady-state" and r[9] == "" for r in rows[1:])
 
 
+def test_simulate_steady_state_without_arrivals_is_a_config_error(tmp_path, capsys) -> None:
+    text = BASE.replace("metric = discounted", "metric = steady-state").replace(
+        "discount = 0.9", "burn_in = 2"
+    ).replace("counts = 0:0.5, 1:0.4, 5:0.1", "counts = 0:1")
+    cfg = _config(tmp_path, text, "quiet.cfg")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: ") and "burn_in = 2" in err
+
+
 def test_simulate_with_optimal_solves_and_caches(tmp_path, capsys) -> None:
     text = BASE.replace("list = minslack, prio-minslack, alpha-minslack, constant",
                         "list = optimal, prio-minslack")

@@ -7,6 +7,7 @@ that reaches aggregation is re-audited here against the window checker.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import replace
@@ -390,7 +391,7 @@ def test_fastlane_routing() -> None:
     assert _fastlane_eligible(_flagship(Mechanism.constant(2)))
     assert not _fastlane_eligible(_flagship(Mechanism.minslack()))
     assert not _fastlane_eligible(_flagship(Mechanism.constant(2, sort_key="fcfs")))
-    assert not _fastlane_eligible(
+    assert _fastlane_eligible(
         _flagship(Mechanism.prio_minslack(), metric="steady-state", discount=None)
     )
     three_point = SimulationConfig(
@@ -447,6 +448,43 @@ def test_count_engine_matches_object_engine_for_optimal() -> None:
         assert summary.values[i] == discounted_reward(r, config.discount)
 
 
+@functools.cache
+def _flagship_optimal() -> OptimalMechanism:
+    arrivals = ArrivalModel(FLAGSHIP_COUNTS.as_count_dist(), 0.1, 1.0, 10.0)
+    policy = value_iteration(
+        build_model(arrivals, cap=4, budget=2, window=5, discount=0.9), tolerance=1e-9
+    )
+    return OptimalMechanism(policy=policy, arrival_model=arrivals)
+
+
+@pytest.mark.parametrize("burn_in", [0, 20])
+def test_count_engine_matches_object_engine_under_steady_state(burn_in) -> None:
+    # The count engine hands its counts to the unit-stake scoring; the
+    # queue builds (0.9 arrivals against 0.4 capacity), so the order matters.
+    for mechanism in (
+        _flagship_optimal(),
+        Mechanism.prio_minslack(),
+        Mechanism.alpha_minslack("0.9"),
+        Mechanism.constant(1),
+    ):
+        config = _flagship(mechanism, steps=60, trials=20, seed=41, metric="steady-state",
+                           discount=None, burn_in=burn_in)
+        assert _fastlane_eligible(config)
+        assert list(monte_carlo(config).values) == _object_values(config), mechanism.name
+
+
+def test_count_engine_audits_a_policy_that_breaks_its_window() -> None:
+    mech = _flagship_optimal()
+    policy = mech.policy
+    greedy = np.full(policy.actions.size, policy.space.budget, np.int8)
+    tampered = replace(mech, policy=replace(policy, actions=greedy))
+    for metric, discount in (("discounted", 0.9), ("steady-state", None)):
+        config = _flagship(tampered, metric=metric, discount=discount)
+        assert _fastlane_eligible(config)
+        with pytest.raises(FeasibilityViolation, match="optimal produced an infeasible trace at seed"):
+            monte_carlo(config)
+
+
 def test_optimal_policy_that_does_not_fit_the_run_is_a_model_mismatch() -> None:
     arrivals = ArrivalModel(FLAGSHIP_COUNTS.as_count_dist(), 0.1, 1.0, 10.0)
     policy = value_iteration(
@@ -462,7 +500,7 @@ def test_optimal_policy_that_does_not_fit_the_run_is_a_model_mismatch() -> None:
     with pytest.raises(ModelMismatch):
         monte_carlo(other_window)
     steady = _flagship(mech, steps=30, metric="steady-state", discount=None)
-    assert not _fastlane_eligible(steady)
+    assert _fastlane_eligible(steady)
     assert monte_carlo(steady).mechanism == "optimal"
 
 
@@ -537,10 +575,17 @@ def test_monte_carlo_runs_mechanisms_without_run_trial(monkeypatch) -> None:
 
     config = _flagship(Mechanism.minslack(), steps=40, trials=3, metric="steady-state",
                        discount=None, burn_in=5)
+    optimal = [
+        _flagship(_flagship_optimal(), steps=40, trials=3),
+        _flagship(_flagship_optimal(), steps=40, trials=3, metric="steady-state",
+                  discount=None, burn_in=5),
+    ]
     want = _object_values(config)
+    want_optimal = [_object_values(c) for c in optimal]
     monkeypatch.setattr(simulate, "run_trial", refuse)
     assert not _fastlane_eligible(config)
     assert list(monte_carlo(config).values) == want
+    assert [list(monte_carlo(c).values) for c in optimal] == want_optimal
 
 
 def test_unit_stake_engine_takes_its_order_from_by_cost_desc(monkeypatch) -> None:
@@ -584,9 +629,11 @@ def test_unit_stake_engine_raises_where_run_trial_does() -> None:
     windows=st.lists(st.tuples(st.integers(0, 8), st.integers(1, 5)), min_size=1, max_size=3),
     fraction=st.booleans(),
     stake=st.integers(0, 80),
+    others=st.lists(st.lists(st.integers(0, 6), min_size=12, max_size=12), max_size=3),
 )
 @settings(max_examples=200, deadline=None)
-def test_unit_audit_agrees_with_check_trace_feasible(totals, windows, fraction, stake) -> None:
+def test_unit_audit_agrees_with_check_trace_feasible(totals, windows, fraction, stake,
+                                                     others) -> None:
     if fraction:
         cs = ConstraintSet([Constraint(Fraction(d, 8), w) for d, w in windows], _FRACTION)
     else:
@@ -603,10 +650,22 @@ def test_unit_audit_agrees_with_check_trace_feasible(totals, windows, fraction, 
     )
     history = [stake - int(c) for c in cum]
     if check_trace_feasible(totals, history, cs):
-        _unit_audit(cum, config)
+        _unit_audit(cum, config, 0)
     else:
         with pytest.raises(FeasibilityViolation):
-            _unit_audit(cum, config)
+            _unit_audit(cum, config, 0)
+
+    # Stacked trials at seeds 0, 1, ...: the audit raises iff some row fails,
+    # and names the first failing row's seed.
+    rows = [totals] + [o[: len(totals)] for o in others]
+    stacked = np.stack([np.concatenate([[0], np.cumsum(r)]) for r in rows])
+    ok = [check_trace_feasible(r, [stake - int(c) for c in row], cs)
+          for r, row in zip(rows, stacked)]
+    if all(ok):
+        _unit_audit(stacked, config, 0)
+    else:
+        with pytest.raises(FeasibilityViolation, match=f"at seed {ok.index(False)}:"):
+            _unit_audit(stacked, config, 0)
 
 
 # =============================================================

@@ -136,60 +136,75 @@ class ExperimentSpec:
         )
 
 
-def _pairs(raw: str, what: str) -> list[tuple[str, str]]:
+_REQUIRED = object()
+
+
+def _get(section: configparser.SectionProxy, key: str, parse=str, fallback=_REQUIRED):
+    """``parse`` applied to ``[section] key``; any failure is a ConfigError
+    that names the section and key."""
+    raw = section.get(key)
+    if raw is None:
+        if fallback is _REQUIRED:
+            raise ConfigError(f"[{section.name}] {key} is required")
+        return fallback
+    raw = raw.strip()
+    try:
+        return parse(raw)
+    except (ValueError, ArithmeticError, ExitQueueError) as exc:
+        raise ConfigError(f"[{section.name}] {key} = {raw!r}: {exc}") from None
+
+
+def _pairs(raw: str) -> list[tuple[str, str]]:
     out = []
     for item in raw.split(","):
         item = item.strip()
         if not item:
             continue
         if ":" not in item:
-            raise ConfigError(f"{what} entries must look like value:prob, got {item!r}")
+            raise ValueError(f"entries must look like value:prob, got {item!r}")
         lhs, rhs = item.split(":", 1)
         out.append((lhs.strip(), rhs.strip()))
     if not out:
-        raise ConfigError(f"{what} must be nonempty")
+        raise ValueError("must be nonempty")
     return out
 
 
-def _delta(raw: str, mode: ConstraintMode) -> Fraction | int:
-    if mode is ConstraintMode.ABSOLUTE_COUNT:
-        return int(raw)
-    try:
-        return Fraction(raw)
-    except ZeroDivisionError:
-        raise ConfigError(f"[constraints] windows delta {raw!r} has a zero denominator") from None
+def _discrete(point):
+    """Parser of a ``value:prob, ...`` list whose values ``point`` converts."""
+    return lambda raw: Discrete(*zip(*((point(v), float(p)) for v, p in _pairs(raw))))
 
 
-def _finite(section: configparser.SectionProxy, key: str, fallback: float) -> float:
-    value = section.getfloat(key, fallback)
-    if not math.isfinite(value):
-        raise ConfigError(f"[values] {key} must be finite, got {value}")
-    return value
+def _checked(convert, ok, why: str):
+    """Parser that converts a raw value and rejects it, saying ``why``,
+    unless ``ok`` holds."""
+    def parse(raw: str):
+        value = convert(raw)
+        if not ok(value):
+            raise ValueError(why)
+        return value
+    return parse
+
+
+_finite = _checked(float, math.isfinite, "must be finite")
+_positive = _checked(float, lambda x: 0 < x < math.inf, "must be positive and finite")
+
+
+def _one_of(*allowed: str):
+    return _checked(str, allowed.__contains__, f"must be one of {', '.join(allowed)}")
 
 
 def _values_dist(section: configparser.SectionProxy, kind: str) -> ValueDistribution:
     if kind == "discrete":
-        pairs = _pairs(section.get("points", ""), "[values] points")
-        return Discrete(
-            points=tuple(float(v) for v, _ in pairs),
-            probs=tuple(float(p) for _, p in pairs),
-        )
+        return _get(section, "points", _discrete(float))
     if kind == "uniform":
-        return Uniform(_finite(section, "lo", 0.0), _finite(section, "hi", 1.0))
+        return Uniform(_get(section, "lo", _finite, 0.0), _get(section, "hi", _finite, 1.0))
     if kind == "exponential":
-        if "rate" in section:
-            return Exponential(section.getfloat("rate"), ExpConvention.RATE)
-        if "scale" in section:
-            return Exponential(section.getfloat("scale"), ExpConvention.SCALE)
+        for key, convention in (("rate", ExpConvention.RATE), ("scale", ExpConvention.SCALE)):
+            if key in section:
+                return _get(section, key, lambda raw: Exponential(float(raw), convention))
         raise ConfigError("[values] exponential needs a rate or scale key")
-    if kind == "pareto":
-        convention = (
-            ParetoConvention.LOMAX
-            if section.get("convention", "").strip().lower() == "lomax"
-            else ParetoConvention.SHAPE_SCALE
-        )
-        return Pareto(section.getfloat("shape"), section.getfloat("scale"), convention)
-    raise ConfigError(f"unknown value distribution kind {kind!r}")
+    convention = _get(section, "convention", ParetoConvention, ParetoConvention.SHAPE_SCALE)
+    return Pareto(_get(section, "shape", float), _get(section, "scale", float), convention)
 
 
 # Every key that load_experiment reads, by section; [values] keys by kind.
@@ -221,6 +236,9 @@ def _reject_unread(parser: configparser.ConfigParser, values_kind: str) -> None:
 
 
 def load_experiment(path: str | Path) -> ExperimentSpec:
+    """Parse one config file. Every key is parsed and range-checked here,
+    and every error names its section and key; the run's own fields are
+    checked again by SimulationConfig."""
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -233,53 +251,41 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
 
     try:
         exp = parser["experiment"]
-        name = exp.get("name", path.stem)
-        metric = exp.get("metric", "discounted").strip()
-        steps = exp.getint("steps")
-        if steps is None:
-            raise ConfigError("[experiment] steps is required")
-        trials = exp.getint("trials", 1)
-        seed = exp.getint("seed", 0)
-        discount = exp.getfloat("discount", fallback=None)
+        name = _get(exp, "name", str, path.stem)
+        metric = _get(exp, "metric", str, "discounted")
+        steps = _get(exp, "steps", int)
+        trials = _get(exp, "trials", int, 1)
+        seed = _get(exp, "seed", int, 0)
+        discount = _get(exp, "discount", float, None)
         if discount is not None and metric == "steady-state":
             raise ConfigError("[experiment] discount applies to the discounted metric only")
-        burn_in = exp.getint("burn_in", 0)
-        bin_width = exp.getfloat("bin_width", 0.1)
+        burn_in = _get(exp, "burn_in", int, 0)
+        bin_width = _get(exp, "bin_width", _positive, 0.1)
 
         cons = parser["constraints"]
-        mode = (
-            ConstraintMode.FRACTION_OF_STAKE
-            if cons.get("mode", "absolute").strip() == "fraction"
-            else ConstraintMode.ABSOLUTE_COUNT
-        )
-        windows = [
-            Constraint(_delta(d, mode), int(w))
-            for d, w in _pairs(cons.get("windows", ""), "[constraints] windows")
-        ]
+        mode = _get(cons, "mode", ConstraintMode, ConstraintMode.ABSOLUTE_COUNT)
+        delta = int if mode is ConstraintMode.ABSOLUTE_COUNT else Fraction
+        windows = _get(cons, "windows", lambda raw: [
+            Constraint(delta(d), int(w)) for d, w in _pairs(raw)
+        ])
         constraints = ConstraintSet(windows, mode)
-        initial_stake = cons.getint("initial_stake", fallback=None)
+        initial_stake = _get(cons, "initial_stake", int, None)
 
-        arr = parser["arrivals"]
-        count_pairs = _pairs(arr.get("counts", ""), "[arrivals] counts")
-        arrival_counts = Discrete(
-            points=tuple(int(v) for v, _ in count_pairs),
-            probs=tuple(float(p) for _, p in count_pairs),
-        )
+        arrival_counts = _get(parser["arrivals"], "counts", _discrete(int))
 
-        values_kind = parser["values"].get("kind", "discrete").strip().lower()
+        values_kind = _get(parser["values"], "kind", _one_of(*VALUES_KEYS), "discrete")
         values = _values_dist(parser["values"], values_kind)
         _reject_unread(parser, values_kind)
 
         mech = parser["mechanisms"]
-        names = tuple(
-            tok.strip() for tok in mech.get("list", "").split(",") if tok.strip()
-        )
+        names = tuple(tok.strip() for tok in _get(mech, "list", str, "").split(",") if tok.strip())
         if not names:
             raise ConfigError("[mechanisms] list must name at least one mechanism")
-        alpha = mech.getfloat("alpha", 0.9)
-        rate = mech.getint("rate", 1)
-        sort_key = mech.get("sort_key", "cost").strip()
-        constant_sort = mech.get("constant_sort", "cost").strip()
+        alpha = _get(mech, "alpha", _checked(float, lambda a: 0 < a <= 1, "must lie in (0, 1]"),
+                     0.9)
+        rate = _get(mech, "rate", _checked(int, lambda r: r >= 1, "must be positive"), 1)
+        sort_key = _get(mech, "sort_key", _one_of("cost", "bid"), "cost")
+        constant_sort = _get(mech, "constant_sort", _one_of("fcfs", "cost", "bid"), "cost")
 
         policy_spec = None
         if parser.has_section("policy"):
@@ -289,18 +295,19 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
             if not isinstance(values, Discrete) or len(values.points) != 2:
                 raise ConfigError("[policy] needs a two-point [values] distribution")
             pol = parser["policy"]
-            rel = pol.get("path", f"policies/{name}.policy")
+            rel = _get(pol, "path", _checked(str, bool, "must not be empty"),
+                       f"policies/{name}.policy")
             policy_spec = PolicySpec(
-                cap=pol.getint("cap", 10),
+                cap=_get(pol, "cap", int, 10),
                 budget=int(constraints[0].delta),
                 window=constraints[0].window,
-                tolerance=pol.getfloat("tolerance", 1e-9),
+                tolerance=_get(pol, "tolerance", _positive, 1e-9),
                 high_prob=values.probs[values.points.index(max(values.points))],
                 path=(path.parent / rel).resolve(),
             )
     except KeyError as exc:
         raise ConfigError(f"config {path} is missing section {exc}") from exc
-    except (ValueError, configparser.Error) as exc:
+    except configparser.Error as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
 
     return ExperimentSpec(
@@ -373,23 +380,32 @@ def _materialize_policy(spec: ExperimentSpec) -> Policy:
 
 
 def _mechanisms(spec: ExperimentSpec) -> list[Mechanism | OptimalMechanism]:
-    out: list[Mechanism | OptimalMechanism] = []
+    """The configured mechanisms, in list order.
+
+    The heuristic mechanisms and the run's fields are checked first, so a
+    bad config exits before an `optimal` policy is loaded or solved.
+    """
+    heuristics = {
+        "minslack": Mechanism.minslack,
+        "prio-minslack": lambda: Mechanism.prio_minslack(sort_key=spec.sort_key),
+        "alpha-minslack": lambda: Mechanism.alpha_minslack(spec.alpha, sort_key=spec.sort_key),
+        "constant": lambda: Mechanism.constant(spec.rate, sort_key=spec.constant_sort),
+    }
+    out: list[Mechanism | None] = []
     for token in spec.mechanism_names:
         if token == "optimal":
             if spec.policy is None:
                 raise ConfigError("mechanism 'optimal' needs a [policy] section")
-            out.append(OptimalMechanism(_materialize_policy(spec), _arrival_model(spec)))
-        elif token == "minslack":
-            out.append(Mechanism.minslack())
-        elif token == "prio-minslack":
-            out.append(Mechanism.prio_minslack(sort_key=spec.sort_key))
-        elif token == "alpha-minslack":
-            out.append(Mechanism.alpha_minslack(spec.alpha, sort_key=spec.sort_key))
-        elif token == "constant":
-            out.append(Mechanism.constant(spec.rate, sort_key=spec.constant_sort))
+            out.append(None)
+        elif token in heuristics:
+            out.append(heuristics[token]())
         else:
-            raise ConfigError(f"unknown mechanism {token!r}")
-    return out
+            raise ConfigError(f"[mechanisms] list has unknown mechanism {token!r}")
+    spec.sim_config(Mechanism.minslack())  # the run's fields do not depend on the mechanism
+    if None not in out:
+        return out
+    optimal = OptimalMechanism(_materialize_policy(spec), _arrival_model(spec))
+    return [optimal if m is None else m for m in out]
 
 
 def _write_out(text: str, out: str | None) -> None:

@@ -44,9 +44,9 @@ class Discrete:
             raise ConfigError("points and probs must be nonempty and equal length")
         if len(set(self.points)) != len(self.points):
             raise ConfigError(f"duplicate points in {self.points}")
-        if any(p < 0 for p in self.probs):
-            raise ConfigError(f"negative probability in {self.probs}")
-        if abs(sum(self.probs) - 1.0) > _PROB_TOL:
+        if not all(p >= 0 for p in self.probs):
+            raise ConfigError(f"negative or nan probability in {self.probs}")
+        if not abs(sum(self.probs) - 1.0) <= _PROB_TOL:
             raise ConfigError(f"probabilities sum to {sum(self.probs)}, expected 1")
 
     def mean(self) -> float:

@@ -32,13 +32,20 @@ run_trial's, as tests pin. The queue's shape picks the engine:
 Either engine yields each trial's cumulative processed counts, and one
 audit checks every trial's counts against the constraints before the trial
 is scored.
+
+Neither engine builds an ExitRequest. SimulationConfig checks once that the
+cost distribution draws only finite, nonnegative costs, and the engines
+rank plain (cost, bid, index) records through the mechanisms' own order.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +57,7 @@ from .core import (
     QueueState,
     step,
 )
-from .distributions import Discrete, ValueDistribution
+from .distributions import Discrete, Exponential, Pareto, Uniform, ValueDistribution
 from .errors import (
     ConfigError,
     FeasibilityViolation,
@@ -100,6 +107,8 @@ class SimulationConfig:
             raise ConfigError(f"steps must be positive, got {self.steps}")
         if self.trials < 1:
             raise ConfigError(f"trials must be positive, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not 0 <= self.burn_in < self.steps:
             raise ConfigError(f"burn_in must lie in [0, steps), got {self.burn_in}")
         if self.metric not in METRICS:
@@ -112,8 +121,27 @@ class SimulationConfig:
         if not isinstance(self.arrival_counts, Discrete):
             raise ConfigError("arrival counts must be a finite discrete distribution")
         self.arrival_counts.as_count_dist()  # validates nonnegative integer support
+        if not _finite_nonnegative_costs(self.values):
+            raise ConfigError(f"values must draw finite nonnegative costs, got {self.values}")
         if self.constraints.mode is ConstraintMode.FRACTION_OF_STAKE and self.initial_stake is None:
             raise ConfigError("fractional constraints need initial_stake")
+
+
+def _finite_nonnegative_costs(values: ValueDistribution) -> bool:
+    """Whether every cost that ``values`` can draw is finite and nonnegative.
+
+    This is the one check on drawn costs: neither engine builds a validated
+    ExitRequest per draw.
+    """
+    if isinstance(values, Discrete):
+        return all(math.isfinite(x) and x >= 0 for x in values.points)
+    if isinstance(values, Uniform):
+        return 0 <= values.lo and math.isfinite(values.hi)
+    if isinstance(values, Exponential):
+        return math.isfinite(values.param)
+    if isinstance(values, Pareto):
+        return math.isfinite(values.shape) and math.isfinite(values.scale)
+    return False
 
 
 @dataclass(frozen=True)
@@ -155,23 +183,13 @@ def sample_arrival_schedule(
     """Whole-trial arrival schedule: one batch per period, labelled
     ``p<period>.<i>`` and requested at that period."""
     counts, costs = _draw_arrivals(rng, steps, arrival_counts, values)
-    counts = counts.tolist()
-    requests = _requests(counts, costs.tolist())
+    costs = costs.tolist()
     schedule: list[list[ExitRequest]] = []
     pos = 0
-    for k in counts:
-        schedule.append(requests[pos : pos + k])
+    for t, k in enumerate(counts.tolist(), start=1):
+        schedule.append([ExitRequest(f"p{t}.{i}", t, costs[pos + i]) for i in range(k)])
         pos += k
     return schedule
-
-
-def _requests(counts: list[int], costs: list[float]) -> list[ExitRequest]:
-    """Every request of a trial in arrival order, labelled ``p<period>.<i>``."""
-    out: list[ExitRequest] = []
-    for t, k in enumerate(counts, start=1):
-        pos = len(out)
-        out.extend(ExitRequest(f"p{t}.{i}", t, costs[pos + i]) for i in range(k))
-    return out
 
 
 def run_trial(config: SimulationConfig, seed: int) -> TrialResult:
@@ -400,12 +418,19 @@ def _check_policy_fits(mech: OptimalMechanism, config: SimulationConfig) -> None
         )
 
 
+def _class_sums(cost_lo: float, cost_hi: float, n_low: int, n_high: int) -> np.ndarray:
+    """sums[a, b] is the cost of a low and b high requests: the exact sum,
+    rounded once, as math.fsum rounds the same multiset in run_trial."""
+    lo, hi = Fraction(cost_lo), Fraction(cost_hi)
+    return np.array([[float(lo * a + hi * b) for b in range(n_high)] for a in range(n_low)])
+
+
 def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     """Queue costs (trials x steps) and cumulative processed counts (trials
     x steps+1), lockstep with run_trial's arrival streams. Queue costs
-    charge the pending queue before removal, mirroring discounted_reward's
-    penalty-minus-fees stream operation for operation so both engines round
-    identically."""
+    charge the pending queue before removal: run_trial's penalty less the
+    fees, each a class sum from _class_sums rounded as math.fsum rounds it,
+    so both engines give the same floats for any two cost points."""
     m, n = config.trials, config.steps
     cost_lo, cost_hi = sorted(float(p) for p in config.values.points)
     budget = int(config.constraints[0].delta)
@@ -441,7 +466,12 @@ def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
 
     w_low += counts[:, 0] - highs[:, 0]
     w_high += highs[:, 0]
+    sums = np.zeros((1, 1))
     for t in range(n):
+        # Waiting counts bound both what is served and what is left.
+        most_low, most_high = int(w_low.max()), int(w_high.max())
+        if most_low >= sums.shape[0] or most_high >= sums.shape[1]:
+            sums = _class_sums(cost_lo, cost_hi, 2 * most_low + 1, 2 * most_high + 1)
         if space is not None:
             idx = space.encode_arrays(w_low, w_high, hist)
             take = np.minimum(actions[idx], w_low + w_high)
@@ -449,9 +479,7 @@ def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
             slack = budget - hist.sum(axis=1)
             take = np.minimum(lookup[slack], w_low + w_high)
         w_low, w_high, hist, done_low, done_high = serve(w_low, w_high, hist, take)
-        penalty = -(cost_lo * w_low + cost_hi * w_high)
-        fee = cost_lo * done_low + cost_hi * done_high
-        streams[:, t] = penalty - fee
+        streams[:, t] = -sums[w_low, w_high] - sums[done_low, done_high]
         np.add(cum[:, t], take, out=cum[:, t + 1])
         if t + 1 < n:
             w_high += highs[:, t + 1]
@@ -543,6 +571,11 @@ def _unit_audit(cum: np.ndarray, config: SimulationConfig, seed: int) -> None:
         )
 
 
+# A drawn request as the queue order sees it (stake 1, bid 0), and its
+# position in the trial's arrival stream.
+_Arrival = namedtuple("_Arrival", "cost bid index")
+
+
 def _unit_served(
     counts: list[int], costs: np.ndarray, trace: list[int], order: str
 ) -> list[int]:
@@ -550,14 +583,15 @@ def _unit_served(
 
     FCFS serves a prefix of the stream. Cost and bid orders pop a heap of
     ranks, taken from one ``mechanisms._by_cost_desc`` call over the trial's
-    requests: a stable sort, so its order restricted to any waiting list is
-    the order ``select`` gives that list.
+    arrivals as plain ``_Arrival`` records: a stable sort, so its order
+    restricted to any waiting list is the order ``select`` gives that list.
+    The sort is looked up at call time, so the order is defined only in
+    ``mechanisms``.
     """
     if order == "fcfs":
         return list(range(sum(trace)))
-    requests = _requests(counts, costs.tolist())
-    index = {id(r): j for j, r in enumerate(requests)}
-    by_rank = [index[id(r)] for r in mechanisms._by_cost_desc(requests, order)]
+    arrivals = list(map(_Arrival, costs.tolist(), repeat(0.0), range(costs.size)))
+    by_rank = [a.index for a in mechanisms._by_cost_desc(arrivals, order)]
     rank = [0] * len(by_rank)
     for k, j in enumerate(by_rank):
         rank[j] = k

@@ -6,6 +6,7 @@ the assertions cover the same code paths as the installed console script.
 
 from __future__ import annotations
 
+import configparser
 import hashlib
 import math
 import re
@@ -140,8 +141,19 @@ def test_load_experiment_rejects_keys_it_does_not_read(tmp_path, old, new, named
         ),
         ("kind = discrete\npoints = 1:0.9, 10:0.1", "kind = uniform\nlo = 0\nhi = inf", "[values] hi"),
         ("metric = discounted", "metric = steady-state", "[experiment] discount"),
+        ("tolerance = 1e-9", "tolerance = inf", "[policy] tolerance"),
+        ("tolerance = 1e-9", "tolerance = nan", "[policy] tolerance"),
+        (
+            "kind = discrete\npoints = 1:0.9, 10:0.1",
+            "kind = pareto\nshape = 2",
+            "[values] scale is required",
+        ),
+        ("mode = absolute", "mode = fractional", "[constraints] mode"),
+        ("constant_sort = fcfs", "constant_sort = lifo", "[mechanisms] constant_sort"),
     ],
-    ids=["missing-steps", "zero-denominator", "infinite-uniform", "steady-state-discount"],
+    ids=["missing-steps", "zero-denominator", "infinite-uniform", "steady-state-discount",
+         "infinite-tolerance", "nan-tolerance", "pareto-without-scale", "unknown-mode",
+         "unknown-constant-sort"],
 )
 def test_load_experiment_names_the_bad_field(tmp_path, capsys, old, new, named) -> None:
     from exitqueue.errors import ConfigError
@@ -151,6 +163,61 @@ def test_load_experiment_names_the_bad_field(tmp_path, capsys, old, new, named) 
         load_experiment(cfg)
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "points",
+    ["-1:0.9, 10:0.1", "nan:0.9, 10:0.1", "1:0.9, inf:0.1"],
+)
+@pytest.mark.parametrize("mechanism", ["minslack", "prio-minslack"])
+def test_simulate_rejects_costs_that_are_negative_or_not_finite(
+    tmp_path, capsys, points, mechanism
+) -> None:
+    # minslack runs on the unit-stake engine, prio-minslack on the count engine.
+    text = BASE[: BASE.index("[policy]")].replace("points = 1:0.9, 10:0.1", f"points = {points}")
+    text = text.replace("list = minslack, prio-minslack, alpha-minslack, constant",
+                        f"list = {mechanism}")
+    assert main(["simulate", "--config", str(_config(tmp_path, text, "costs.cfg"))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: values must draw finite nonnegative costs")
+
+
+@pytest.mark.parametrize(
+    "values",
+    ["kind = exponential\nrate = nan", "kind = exponential\nscale = inf",
+     "kind = pareto\nshape = nan\nscale = 5", "kind = pareto\nshape = 2\nscale = inf",
+     "kind = uniform\nlo = -1\nhi = 1"],
+)
+def test_simulate_rejects_cost_distributions_that_draw_bad_costs(tmp_path, capsys, values) -> None:
+    text = BASE[: BASE.index("[policy]")].replace("kind = discrete\npoints = 1:0.9, 10:0.1", values)
+    assert main(["simulate", "--config", str(_config(tmp_path, text, "costs.cfg"))]) == 2
+    assert capsys.readouterr().err.startswith("config error: values must draw")
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "args"),
+    [
+        ("trials = 3", "trials = 0", []),
+        ("metric = discounted", "metric = mean", []),
+        ("seed = 5", "seed = 5\nburn_in = 12", []),
+        ("seed = 5", "seed = -1", []),
+        ("alpha = 0.9", "alpha = 2", []),
+        ("alpha-minslack,", "alpha-minslak,", []),
+        ("", "", ["--seed", "-1"]),
+        ("", "", ["--trials", "0"]),
+    ],
+    ids=["trials", "metric", "burn-in", "seed", "alpha", "misspelled-mechanism",
+         "seed-override", "trials-override"],
+)
+def test_bad_config_exits_before_the_policy_solve(tmp_path, monkeypatch, old, new, args) -> None:
+    def refuse(*a, **k):
+        raise AssertionError("policy solved")
+
+    monkeypatch.setattr(cli, "value_iteration", refuse)
+    text = BASE.replace("list = minslack,", "list = optimal, minslack,").replace(old, new, 1)
+    cfg = _config(tmp_path, text, "bad.cfg")
+    assert main(["simulate", "--config", str(cfg), *args]) == 2
+    assert not (tmp_path / "policies" / "tiny.policy").exists()
 
 
 def test_load_experiment_policy_needs_the_two_class_model(tmp_path) -> None:
@@ -490,3 +557,84 @@ def test_bundled_outputs_match_pinned_hashes(tmp_path, capsys) -> None:
     out = run("histogram", "--config", str(configs / "tail_histogram.cfg"), "--trials", "200")
     digests["histogram tail_histogram"] = hashlib.sha256(out).hexdigest()
     assert digests == OUTPUT_SHA256
+
+
+# =============================================================
+# Config fuzzing
+# =============================================================
+
+# Each replaces one key's value; None drops the key.
+MUTATIONS = (None, "abc", "0", "-1", "inf", "nan", "1/0", "")
+
+
+def _small(cfg: Path, policy: Path) -> configparser.ConfigParser:
+    """A bundled config shrunk to 30 steps, 2 trials and a cap-3 policy."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.read(cfg, encoding="utf-8")
+    parser["experiment"].update(steps="30", trials="2")
+    if "burn_in" in parser["experiment"]:
+        parser["experiment"]["burn_in"] = "10"
+    if parser.has_section("policy"):
+        parser["policy"].update(cap="3", path=str(policy))
+    return parser
+
+
+def test_config_fuzz_exits_cleanly(tmp_path, capsys) -> None:
+    """Bundled configs with each key dropped or replaced by a bad value: no
+    exception escapes main, the exit code is documented, a failure prints
+    one stderr line naming the section or key, and a success has no nan.
+
+    Every bundled config runs unmutated first, which also solves its policy
+    into a cache that its mutations share. Configs with the same sections
+    and keys take the same code paths, so one of each is mutated.
+    """
+    shapes: dict[tuple, Path] = {}
+    for cfg in sorted(CONFIGS.glob("*.cfg")):
+        parser = _small(cfg, tmp_path / f"{cfg.stem}.policy")
+        path = tmp_path / f"{cfg.stem}.cfg"
+        with open(path, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        command = "histogram" if "bin_width" in parser["experiment"] else "simulate"
+        assert main([command, "--config", str(path)]) == 0, cfg.name
+        shapes.setdefault(tuple((s, tuple(parser[s])) for s in parser.sections()), cfg)
+    capsys.readouterr()
+
+    problems = []
+    case = 0
+    for cfg in shapes.values():
+        policy = tmp_path / f"{cfg.stem}.policy"
+        base = _small(cfg, policy)
+        command = "histogram" if "bin_width" in base["experiment"] else "simulate"
+        for section in base.sections():
+            for key in base[section]:
+                for value in MUTATIONS:
+                    case += 1
+                    parser = _small(cfg, policy)
+                    if value is None:
+                        del parser[section][key]
+                    else:
+                        parser[section][key] = value
+                    path = tmp_path / str(case) / "x.cfg"
+                    path.parent.mkdir()
+                    with open(path, "w", encoding="utf-8") as fh:
+                        parser.write(fh)
+                    what = f"{cfg.stem} [{section}] {key} = {value!r}"
+                    try:
+                        code = main([command, "--config", str(path)])
+                    except Exception as exc:  # noqa: BLE001 - the failure under test
+                        problems.append(f"{what}: {type(exc).__name__}: {exc}")
+                        capsys.readouterr()
+                        continue
+                    out, err = capsys.readouterr()
+                    err = err.replace(str(tmp_path), "")
+                    if code not in (0, 2, 3, 4, 5):
+                        problems.append(f"{what}: exit {code}")
+                    elif code == 0 and "nan" in out:
+                        problems.append(f"{what}: nan in output")
+                    elif code != 0 and (
+                        err.count("\n") != 1
+                        or not re.search(rf"\[{section}\]|\b{key}\b", err)
+                    ):
+                        problems.append(f"{what}: exit {code}, stderr {err!r}")
+    assert len(shapes) == 5 and case > 500
+    assert problems == []

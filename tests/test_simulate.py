@@ -57,7 +57,7 @@ def _flagship(mechanism, steps=60, trials=5, seed=0, **kw) -> SimulationConfig:
         constraints=ABS_25,
         mechanism=mechanism,
         arrival_counts=FLAGSHIP_COUNTS,
-        values=FLAGSHIP_VALUES,
+        values=kw.pop("values", FLAGSHIP_VALUES),
         steps=steps,
         trials=trials,
         seed=seed,
@@ -426,12 +426,14 @@ def test_fastlane_routing() -> None:
     ids=["prio", "alpha", "constant"],
 )
 def test_count_engine_matches_object_engine_bitwise(mechanism) -> None:
-    config = _flagship(mechanism, steps=60, trials=30, seed=17)
-    assert _fastlane_eligible(config)
-    summary = monte_carlo(config)
-    for i in range(config.trials):
-        r = run_trial(config, config.seed + i)
-        assert summary.values[i] == discounted_reward(r, config.discount)
+    # Thirds are not integral: a class sum must round as math.fsum rounds it.
+    for values in (FLAGSHIP_VALUES, Discrete((1 / 3, 2 / 3), (0.9, 0.1))):
+        config = _flagship(mechanism, steps=60, trials=30, seed=17, values=values)
+        assert _fastlane_eligible(config)
+        summary = monte_carlo(config)
+        for i in range(config.trials):
+            r = run_trial(config, config.seed + i)
+            assert summary.values[i] == discounted_reward(r, config.discount), values
 
 
 def test_count_engine_matches_object_engine_for_optimal() -> None:
@@ -586,6 +588,28 @@ def test_monte_carlo_runs_mechanisms_without_run_trial(monkeypatch) -> None:
     assert not _fastlane_eligible(config)
     assert list(monte_carlo(config).values) == want
     assert [list(monte_carlo(c).values) for c in optimal] == want_optimal
+
+
+def test_monte_carlo_builds_no_exit_request(monkeypatch) -> None:
+    # Costs are checked once, by SimulationConfig; neither engine builds a
+    # validated ExitRequest per draw.
+    runs = [(m, v) for m in _UNIT_MECHANISMS for v in (FLAGSHIP_VALUES, Pareto(2.0, 5.0))]
+    runs.append((_flagship_optimal(), FLAGSHIP_VALUES))
+    configs = [
+        _flagship(mech, steps=40, trials=3, values=values, metric=metric, discount=discount,
+                  burn_in=5)
+        for metric, discount in (("discounted", 0.9), ("steady-state", None))
+        for mech, values in runs
+    ]
+    want = [_object_values(c) for c in configs]
+
+    def refuse(self):
+        raise AssertionError("ExitRequest built")
+
+    monkeypatch.setattr(ExitRequest, "__post_init__", refuse)
+    assert [list(monte_carlo(c).values) for c in configs] == want
+    assert any(_fastlane_eligible(c) for c in configs)
+    assert not all(_fastlane_eligible(c) for c in configs)
 
 
 def test_unit_stake_engine_takes_its_order_from_by_cost_desc(monkeypatch) -> None:
@@ -772,6 +796,21 @@ def test_config_validation() -> None:
     frac = ConstraintSet([Constraint("0.1", 4)], ConstraintMode.FRACTION_OF_STAKE)
     with pytest.raises(ConfigError):
         SimulationConfig(**{**good, "constraints": frac})
+    with pytest.raises(ConfigError, match="seed"):
+        SimulationConfig(**{**good, "seed": -1})
+    for values in (
+        Discrete((-1, 10), (0.9, 0.1)),
+        Discrete((1, math.nan), (0.9, 0.1)),
+        Discrete((1, math.inf), (0.9, 0.1)),
+        Uniform(-1.0, 1.0),
+        Uniform(0.0, math.inf),
+        Exponential(math.nan),
+        Exponential(math.inf),
+        Pareto(math.nan, 5.0),
+        Pareto(2.0, math.inf),
+    ):
+        with pytest.raises(ConfigError, match="values must draw finite nonnegative costs"):
+            SimulationConfig(**{**good, "values": values})
 
 
 _MECHS = [

@@ -71,7 +71,7 @@ from .mdp import (
     _sweep,
     value_iteration,
 )
-from .simulate import SimulationConfig, brute_force_schedules, monte_carlo
+from .simulate import METRICS, SimulationConfig, brute_force_schedules, monte_carlo
 
 __all__ = ["main", "ExperimentSpec", "load_experiment"]
 
@@ -252,11 +252,11 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     try:
         exp = parser["experiment"]
         name = _get(exp, "name", str, path.stem)
-        metric = _get(exp, "metric", str, "discounted")
+        metric = _get(exp, "metric", _one_of(*METRICS), "discounted")
         steps = _get(exp, "steps", int)
         trials = _get(exp, "trials", int, 1)
         seed = _get(exp, "seed", int, 0)
-        discount = _get(exp, "discount", float, None)
+        discount = _get(exp, "discount", float, _REQUIRED if metric == "discounted" else None)
         if discount is not None and metric == "steady-state":
             raise ConfigError("[experiment] discount applies to the discounted metric only")
         burn_in = _get(exp, "burn_in", int, 0)
@@ -289,7 +289,10 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
 
         policy_spec = None
         if parser.has_section("policy"):
-            # The model is the experiment's: its one window and two cost points.
+            # The model is the experiment's: its discounted metric, its one
+            # window and its two cost points.
+            if metric != "discounted":
+                raise ConfigError(f"[policy] needs metric = discounted, not {metric}")
             if constraints.mode is not ConstraintMode.ABSOLUTE_COUNT or len(constraints) != 1:
                 raise ConfigError("[policy] needs a single absolute constraint")
             if not isinstance(values, Discrete) or len(values.points) != 2:
@@ -338,8 +341,6 @@ def _arrival_model(spec: ExperimentSpec) -> ArrivalModel:
 
 
 def _model(spec: ExperimentSpec) -> MdpModel:
-    if spec.discount is None:
-        raise ConfigError("solving needs a discount factor")
     pol = spec.policy
     return build_model(_arrival_model(spec), pol.cap, pol.budget, pol.window, spec.discount)
 
@@ -374,7 +375,6 @@ def _materialize_policy(spec: ExperimentSpec) -> Policy:
             )
         return policy
     policy = value_iteration(_model(spec), tolerance=spec.policy.tolerance)
-    cache.parent.mkdir(parents=True, exist_ok=True)
     save_policy(policy, cache)
     return policy
 
@@ -411,8 +411,11 @@ def _mechanisms(spec: ExperimentSpec) -> list[Mechanism | OptimalMechanism]:
 def _write_out(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from None
 
 
 def _fmt(x: float) -> str:
@@ -441,7 +444,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
             raise FeasibilityViolation(f"policy file {target} does not match regeneration")
         print(f"check ok: {target} matches regeneration")
         return EXIT_OK
-    target.parent.mkdir(parents=True, exist_ok=True)
     save_policy(policy, target)
     print(f"wrote {target}")
     return EXIT_OK
@@ -515,10 +517,9 @@ def prio_action(state, budget: int) -> int:
 
 
 def cmd_policy_diff(args: argparse.Namespace) -> int:
-    source = args.policy if args.policy else args.config
-    if source is None:
+    if args.policy is None:
         raise ConfigError("policy-diff needs a policy file path")
-    policy = load_policy(source)
+    policy = load_policy(args.policy)
     space = policy.space
     diffs: dict[int, int] = {}
     big: list[str] = []
@@ -655,7 +656,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_diff = sub.add_parser("policy-diff", help="compare a policy file to greedy slack filling")
     p_diff.add_argument("policy", nargs="?", default=None, help="policy file path")
-    p_diff.add_argument("--config", help="policy file path (same as the positional argument)")
     p_diff.add_argument("--out", default=None, help="output path (default stdout)")
     p_diff.set_defaults(func=cmd_policy_diff)
 

@@ -22,6 +22,7 @@ State conventions:
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -527,7 +528,8 @@ def policy_text(policy: Policy) -> str:
 
 
 def save_policy(policy: Policy, path) -> None:
-    """Write the flat policy file (format under policy_text).
+    """Write the flat policy file (format under policy_text), creating its
+    directory; a path that cannot be written is a ConfigError.
 
     The text goes to a temporary file beside ``path`` that then replaces it,
     so a reader never sees a partly written policy.
@@ -535,12 +537,15 @@ def save_policy(policy: Policy, path) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "x", encoding="ascii", newline="\n") as fh:
             fh.write(policy_text(policy))
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write policy file {path}: {exc}") from None
+    finally:
+        with contextlib.suppress(OSError):
+            tmp.unlink()  # gone once it has replaced path
 
 
 def load_policy(path) -> Policy:
@@ -574,21 +579,24 @@ def load_policy(path) -> Policy:
     values = np.zeros(space.n, dtype=np.float64)
     seen = np.zeros(space.n, dtype=bool)
     for row in rows:
-        parts = row.split(",")
-        if len(parts) != len(state_header):
-            raise ConfigError(f"malformed policy row: {row!r}")
-        idx = int(parts[0])
-        s = MdpState(int(parts[1]), int(parts[2]), tuple(int(x) for x in parts[3:-2]))
+        try:
+            *cells, value = row.split(",")
+            if len(cells) + 1 != len(state_header):
+                raise ValueError
+            idx, w_low, w_high, *history, a = map(int, cells)
+            value = float(value)
+        except ValueError:
+            raise ConfigError(f"malformed policy row in {path}: {row!r}") from None
+        s = MdpState(w_low, w_high, tuple(history))
         if not 0 <= idx < space.n or space.states[idx] != s:
             raise ModelMismatch(f"row {idx} does not match the state enumeration: {row!r}")
         if seen[idx]:
             raise ModelMismatch(f"duplicate policy row for state {idx}")
         seen[idx] = True
-        a = int(parts[-2])
         if a not in legal_actions(s, budget):
             raise ModelMismatch(f"illegal action {a} for state {s}")
         actions[idx] = a
-        values[idx] = float(parts[-1])
+        values[idx] = value
     return Policy(space=space, discount=gamma, tolerance=tolerance, actions=actions, values=values)
 
 

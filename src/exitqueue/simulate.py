@@ -21,21 +21,24 @@ Trials are independent, and every trial draws requests of stake 1 and bid 0.
 Two engines replay the same arrival streams, with results bit-identical to
 run_trial's, as tests pin. The queue's shape picks the engine:
 
-  * the count engine, vectorized across trials, takes a queue that is a
-    pair of class counts: one absolute constraint, two cost points and a
-    cost order, as an optimal policy always has;
-  * the unit-stake engine takes every other Mechanism. With unit stakes a
-    Mechanism processes min(capacity(min_slack), waiting) requests whatever
-    its order, so the counts follow from the arrivals alone and the order
-    only decides who leaves.
+  * the count engine, vectorized across trials, takes a discounted run whose
+    queue is a pair of class counts: one absolute constraint, two cost points
+    and a cost order, as an optimal policy always has;
+  * the unit-stake engine takes every other Mechanism, under either metric.
+    With unit stakes a Mechanism processes min(capacity(min_slack), waiting)
+    requests whatever its order, so the counts follow from the arrivals
+    alone and the order only decides who leaves. One pass over a trial's
+    periods yields its counts, who left, and the queue costs.
 
 Either engine yields each trial's cumulative processed counts, and one
 audit checks every trial's counts against the constraints before the trial
 is scored.
 
-Neither engine builds an ExitRequest. SimulationConfig checks once that the
-cost distribution draws only finite, nonnegative costs, and the engines
-rank plain (cost, bid, index) records through the mechanisms' own order.
+SimulationConfig is the one gate on a run. It checks once that the cost
+distribution draws only finite, nonnegative costs, so neither engine builds
+an ExitRequest: they rank plain (cost, bid, index) records through the
+mechanisms' own order. It also admits an optimal policy only under the
+discounted metric, the decision problem the policy solves.
 """
 
 from __future__ import annotations
@@ -120,11 +123,15 @@ class SimulationConfig:
             raise ConfigError(f"discount must lie in (0,1), got {self.discount}")
         if not isinstance(self.arrival_counts, Discrete):
             raise ConfigError("arrival counts must be a finite discrete distribution")
+        if isinstance(self.mechanism, OptimalMechanism) and self.metric != "discounted":
+            raise ConfigError(f"optimal policies solve the discounted metric, not {self.metric}")
         self.arrival_counts.as_count_dist()  # validates nonnegative integer support
         if not _finite_nonnegative_costs(self.values):
             raise ConfigError(f"values must draw finite nonnegative costs, got {self.values}")
         if self.constraints.mode is ConstraintMode.FRACTION_OF_STAKE and self.initial_stake is None:
             raise ConfigError("fractional constraints need initial_stake")
+        if self.initial_stake is not None and self.initial_stake < 0:
+            raise ConfigError(f"initial_stake must be nonnegative, got {self.initial_stake}")
 
 
 def _finite_nonnegative_costs(values: ValueDistribution) -> bool:
@@ -340,12 +347,8 @@ def monte_carlo(config: SimulationConfig) -> MonteCarloSummary:
         return _summarize(_unit_stake_values(config), config)
     streams, cum = _fastlane_arrays(config)
     _unit_audit(cum, config, config.seed)
-    if config.metric == "discounted":
-        weights = _discount_weights(config.discount, config.steps)
-        values = [_discounted(row, weights, config.discount) for row in streams]
-    else:
-        values = _unit_stake_values(config, cum)
-    return _summarize(values, config)
+    weights = _discount_weights(config.discount, config.steps)
+    return _summarize([_discounted(row, weights, config.discount) for row in streams], config)
 
 
 @dataclass(frozen=True)
@@ -388,16 +391,18 @@ def make_histogram(values: Sequence[float], bin_width: float = 0.1) -> list[Hist
 # Vectorized count engine
 # =============================================================
 #
-# Restricted to queues whose dynamics are a function of the (low, high)
-# waiting counts: two cost levels, unit stakes, one absolute constraint and
-# a highest-cost-first order, as every optimal policy that passes
-# _check_policy_fits has. FCFS orders interleave classes by arrival order,
-# which counts alone cannot express, and bids are not counted, so both go
-# to the unit-stake engine. The steady-state metric needs who left when,
-# so its counts go to the unit-stake engine's scoring.
+# Restricted to discounted runs whose dynamics are a function of the
+# (low, high) waiting counts: two cost levels, unit stakes, one absolute
+# constraint and a highest-cost-first order, as every optimal policy that
+# passes _check_policy_fits has. FCFS orders interleave classes by arrival
+# order, which counts alone cannot express, and bids are not counted, so
+# both go to the unit-stake engine. So does the steady-state metric, which
+# needs who left when; SimulationConfig admits no optimal policy under it.
 
 
 def _fastlane_eligible(config: SimulationConfig) -> bool:
+    if config.metric != "discounted":
+        return False
     cs = config.constraints
     if cs.mode is not ConstraintMode.ABSOLUTE_COUNT or len(cs) != 1:
         return False
@@ -496,27 +501,56 @@ def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
 # order: the count trace follows from the arrival counts alone. The order
 # only decides who leaves, and each metric is summed with math.fsum over the
 # same multisets that run_trial's result gives it, so the two agree bit for
-# bit.
+# bit: fsum rounds exactly, whatever order it sums in.
+
+# A drawn request as the queue order sees it (stake 1, bid 0), and its
+# position in the trial's arrival stream.
+_Arrival = namedtuple("_Arrival", "cost bid index")
 
 
-def _unit_count_trace(counts: list[int], config: SimulationConfig) -> list[int]:
-    """Cumulative processed counts: entry k is the total over periods 1..k.
+def _unit_walk(
+    config: SimulationConfig, counts: list[int], costs: np.ndarray, capacity: dict[int, int]
+) -> tuple[list[int], Sequence[int], list[float] | None]:
+    """One pass over a trial's periods: the cumulative processed counts
+    (entry k is the total over periods 1..k), the arrival-stream indices
+    served, in order, and under the discounted metric the per-period queue
+    costs, run_trial's penalty less the costs processed (else None).
 
     The window of constraint (delta, T) at period t holds what periods
     t-T+1 .. t-1 processed, and its capacity is delta, or in fraction mode
     floor(delta * stake at the anchor t-T), the stake being the initial
-    stake less everything processed. Raises ConfigError, as step does, when
-    a run processes more than its initial stake.
+    stake less everything processed. ``capacity`` memoizes mech.capacity by
+    slack. Raises ConfigError, as step does, when a run processes more than
+    its initial stake.
+
+    FCFS serves a prefix of the stream, so the pending requests are a slice
+    of it. Cost and bid orders keep them as a heap of ranks from one
+    ``mechanisms._by_cost_desc`` call over ``_Arrival`` records, looked up at
+    call time: a stable sort, so its order restricted to any waiting list is
+    the order ``select`` gives that list.
     """
     mech = config.mechanism
     fraction = config.constraints.mode is ConstraintMode.FRACTION_OF_STAKE
     stake0 = config.initial_stake
     limits = [(c.window, c.delta.numerator, c.delta.denominator) for c in config.constraints]
-    table: dict[int, int] = {}  # mech.capacity by slack
+    stream: list[float] | None = [] if config.metric == "discounted" else None
+    cost = costs.tolist()
+    heap: list[int] | None = None
+    if mech.order != "fcfs":
+        arrivals = list(map(_Arrival, cost, repeat(0.0), range(len(cost))))
+        ranked = mechanisms._by_cost_desc(arrivals, mech.order)
+        rank = [0] * len(ranked)
+        for k, a in enumerate(ranked):
+            rank[a.index] = k
+        if stream is not None:
+            cost = [a.cost for a in ranked]  # cost[k] is rank k's
+        heap = []
+        push, pop = heapq.heappush, heapq.heappop
+    fsum = math.fsum
     cum = [0]
-    waiting = 0
+    popped: list[int] = []  # ranks, in processing order
+    pos = 0  # requests arrived so far
     for t, arrived in enumerate(counts, start=1):
-        waiting += arrived
         done = cum[-1]
         # x: processed before the window opens (pre-genesis anchors read 0).
         if fraction:
@@ -529,16 +563,34 @@ def _unit_count_trace(counts: list[int], config: SimulationConfig) -> list[int]:
             free = min([num + (cum[t - w] if t > w else 0) - done for w, num, _ in limits])
         if free < 0:
             free = 0
-        take = table.get(free)
+        take = capacity.get(free)
         if take is None:
-            take = table[free] = mech.capacity(free)
-        if take > waiting:
-            take = waiting
-        waiting -= take
+            take = capacity[free] = mech.capacity(free)
+        if heap is None:  # requests done .. pos-1 wait, and the first take leave
+            pos += arrived
+            if take > pos - done:
+                take = pos - done
+            if stream is not None:
+                stream.append(-fsum(cost[done + take : pos]) - fsum(cost[done : done + take]))
+        else:  # the heap holds the waiting ranks, and the take smallest leave
+            for k in rank[pos : pos + arrived]:
+                push(heap, k)
+            pos += arrived
+            if take > len(heap):
+                take = len(heap)
+            batch = [pop(heap) for _ in range(take)]
+            if stream is not None:
+                stream.append(
+                    -fsum(map(cost.__getitem__, heap)) - fsum(map(cost.__getitem__, batch))
+                )
+            else:
+                popped += batch
         cum.append(done + take)
     if stake0 is not None and cum[-1] > stake0:
         raise ConfigError("stake_history entries must be nonnegative")
-    return cum
+    if heap is None:
+        return cum, range(cum[-1]), stream
+    return cum, [ranked[k].index for k in popped], stream
 
 
 def _unit_audit(cum: np.ndarray, config: SimulationConfig, seed: int) -> None:
@@ -571,106 +623,43 @@ def _unit_audit(cum: np.ndarray, config: SimulationConfig, seed: int) -> None:
         )
 
 
-# A drawn request as the queue order sees it (stake 1, bid 0), and its
-# position in the trial's arrival stream.
-_Arrival = namedtuple("_Arrival", "cost bid index")
-
-
-def _unit_served(
-    counts: list[int], costs: np.ndarray, trace: list[int], order: str
-) -> list[int]:
-    """Arrival-stream indices of the processed requests, in processing order.
-
-    FCFS serves a prefix of the stream. Cost and bid orders pop a heap of
-    ranks, taken from one ``mechanisms._by_cost_desc`` call over the trial's
-    arrivals as plain ``_Arrival`` records: a stable sort, so its order
-    restricted to any waiting list is the order ``select`` gives that list.
-    The sort is looked up at call time, so the order is defined only in
-    ``mechanisms``.
-    """
-    if order == "fcfs":
-        return list(range(sum(trace)))
-    arrivals = list(map(_Arrival, costs.tolist(), repeat(0.0), range(costs.size)))
-    by_rank = [a.index for a in mechanisms._by_cost_desc(arrivals, order)]
-    rank = [0] * len(by_rank)
-    for k, j in enumerate(by_rank):
-        rank[j] = k
-    push, pop = heapq.heappush, heapq.heappop
-    heap: list[int] = []
-    served: list[int] = []
-    pos = 0
-    for arrived, take in zip(counts, trace):
-        for k in rank[pos : pos + arrived]:
-            push(heap, k)
-        pos += arrived
-        served += [by_rank[pop(heap)] for _ in range(take)]
-    return served
-
-
-def _unit_score(
-    config: SimulationConfig,
-    counts: list[int],
-    costs: np.ndarray,
-    trace: list[int],
-    served: list[int],
-    weights: np.ndarray | None,
+def _unit_disutility(
+    config: SimulationConfig, counts: np.ndarray, costs: np.ndarray, cum: np.ndarray, served
 ) -> float:
-    """The trial's metric, from who was served in which period."""
+    """steady_state_disutility, from who was served in which period."""
     n = config.steps
-    if config.metric == "steady-state":
-        periods = np.arange(1, n + 1)
-        arrived = np.repeat(periods, counts)
-        done = np.full(costs.size, n + 1)
-        done[served] = np.repeat(periods, trace)
-        # Leftovers are charged as if processed in the final period.
-        counted = done > config.burn_in
-        delay = np.minimum(done, n)[counted] - arrived[counted]
-        terms = (-costs[counted] * delay).tolist()
-        if not terms:
-            raise NoWithdrawals(f"no withdrawals to average after burn_in = {config.burn_in}")
-        return math.fsum(terms) / len(terms)
-
-    cost = costs.tolist()
-    live: set[int] = set()
-    stream = []
-    pos = out = 0
-    for arrived, take in zip(counts, trace):
-        live.update(range(pos, pos + arrived))
-        pos += arrived
-        batch = served[out : out + take]
-        out += take
-        live.difference_update(batch)
-        # run_trial's penalty, less the costs of the batch processed.
-        stream.append(
-            -math.fsum(map(cost.__getitem__, live)) - math.fsum(map(cost.__getitem__, batch))
-        )
-    return _discounted(np.asarray(stream), weights, config.discount)
+    periods = np.arange(1, n + 1)
+    arrived = np.repeat(periods, counts)
+    done = np.full(costs.size, n + 1)
+    done[served] = np.repeat(periods, np.diff(cum))
+    # Leftovers are charged as if processed in the final period.
+    counted = done > config.burn_in
+    delay = np.minimum(done, n)[counted] - arrived[counted]
+    terms = (-costs[counted] * delay).tolist()
+    if not terms:
+        raise NoWithdrawals(f"no withdrawals to average after burn_in = {config.burn_in}")
+    return math.fsum(terms) / len(terms)
 
 
-def _unit_stake_values(config: SimulationConfig, cum: np.ndarray | None = None) -> list[float]:
+def _unit_stake_values(config: SimulationConfig) -> list[float]:
     """Every trial's metric, trial by trial as run_trial and the metric
-    functions would give them, each failure being the one they raise.
-
-    ``cum`` is the count engine's audited cumulative counts, one row per
-    trial. Without it, each trial's counts come from _unit_count_trace and
-    are audited before the trial is scored.
-    """
+    functions would give them, each failure being the one they raise. Each
+    trial's counts are audited before the trial is scored."""
     weights = None
     if config.metric == "discounted":
         weights = _discount_weights(config.discount, config.steps)
+    capacity: dict[int, int] = {}
     values = []
     for i in range(config.trials):
         rng = np.random.default_rng(config.seed + i)
         counts, costs = _draw_arrivals(rng, config.steps, config.arrival_counts, config.values)
-        counts = counts.tolist()
-        if cum is None:
-            trial_cum = np.asarray(_unit_count_trace(counts, config), dtype=np.int64)
-            _unit_audit(trial_cum, config, config.seed + i)
+        cum, served, stream = _unit_walk(config, counts.tolist(), costs, capacity)
+        cum = np.asarray(cum, dtype=np.int64)
+        _unit_audit(cum, config, config.seed + i)
+        if stream is None:
+            values.append(_unit_disutility(config, counts, costs, cum, served))
         else:
-            trial_cum = cum[i]
-        trace = np.diff(trial_cum).tolist()
-        served = _unit_served(counts, costs, trace, config.mechanism.order)
-        values.append(_unit_score(config, counts, costs, trace, served, weights))
+            values.append(_discounted(np.asarray(stream), weights, config.discount))
     return values
 
 

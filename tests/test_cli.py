@@ -53,6 +53,17 @@ path = policies/tiny.policy
 """
 
 
+# BASE's [experiment] lines from metric to discount, and a steady-state
+# form of them, which has a burn-in and no discount.
+STEADY_EXPERIMENT = (
+    "metric = discounted\nsteps = 12\ntrials = 3\nseed = 5\ndiscount = 0.9\n",
+    "metric = steady-state\nsteps = 12\ntrials = 3\nseed = 5\nburn_in = 2\n",
+)
+# BASE as a steady-state config: an optimal policy solves the discounted
+# metric only, so it has no [policy] section.
+STEADY = BASE[: BASE.index("[policy]")].replace(*STEADY_EXPERIMENT)
+
+
 def _config(tmp_path: Path, text: str = BASE, name: str = "tiny.cfg") -> Path:
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -141,6 +152,9 @@ def test_load_experiment_rejects_keys_it_does_not_read(tmp_path, old, new, named
         ),
         ("kind = discrete\npoints = 1:0.9, 10:0.1", "kind = uniform\nlo = 0\nhi = inf", "[values] hi"),
         ("metric = discounted", "metric = steady-state", "[experiment] discount"),
+        ("metric = discounted", "metric = mean", "[experiment] metric"),
+        ("discount = 0.9\n", "", "[experiment] discount is required"),
+        (*STEADY_EXPERIMENT, "[policy] needs metric = discounted"),
         ("tolerance = 1e-9", "tolerance = inf", "[policy] tolerance"),
         ("tolerance = 1e-9", "tolerance = nan", "[policy] tolerance"),
         (
@@ -152,6 +166,7 @@ def test_load_experiment_rejects_keys_it_does_not_read(tmp_path, old, new, named
         ("constant_sort = fcfs", "constant_sort = lifo", "[mechanisms] constant_sort"),
     ],
     ids=["missing-steps", "zero-denominator", "infinite-uniform", "steady-state-discount",
+         "unknown-metric", "discounted-without-discount", "steady-state-policy",
          "infinite-tolerance", "nan-tolerance", "pareto-without-scale", "unknown-mode",
          "unknown-constant-sort"],
 )
@@ -205,9 +220,10 @@ def test_simulate_rejects_cost_distributions_that_draw_bad_costs(tmp_path, capsy
         ("alpha-minslack,", "alpha-minslak,", []),
         ("", "", ["--seed", "-1"]),
         ("", "", ["--trials", "0"]),
+        (*STEADY_EXPERIMENT, []),
     ],
     ids=["trials", "metric", "burn-in", "seed", "alpha", "misspelled-mechanism",
-         "seed-override", "trials-override"],
+         "seed-override", "trials-override", "steady-state-optimal"],
 )
 def test_bad_config_exits_before_the_policy_solve(tmp_path, monkeypatch, old, new, args) -> None:
     def refuse(*a, **k):
@@ -272,19 +288,14 @@ def test_simulate_honors_overrides(tmp_path, capsys) -> None:
 
 
 def test_simulate_steady_state_leaves_gamma_blank(tmp_path, capsys) -> None:
-    text = BASE.replace("metric = discounted", "metric = steady-state").replace(
-        "discount = 0.9", "burn_in = 2"
-    )
-    cfg = _config(tmp_path, text, "steady.cfg")
+    cfg = _config(tmp_path, STEADY, "steady.cfg")
     assert main(["simulate", "--config", str(cfg)]) == 0
     rows = _rows(capsys.readouterr().out)
     assert all(r[1] == "steady-state" and r[9] == "" for r in rows[1:])
 
 
 def test_simulate_steady_state_without_arrivals_is_a_config_error(tmp_path, capsys) -> None:
-    text = BASE.replace("metric = discounted", "metric = steady-state").replace(
-        "discount = 0.9", "burn_in = 2"
-    ).replace("counts = 0:0.5, 1:0.4, 5:0.1", "counts = 0:1")
+    text = STEADY.replace("counts = 0:0.5, 1:0.4, 5:0.1", "counts = 0:1")
     cfg = _config(tmp_path, text, "quiet.cfg")
     assert main(["simulate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
@@ -411,10 +422,7 @@ def test_histogram_density_normalizes(tmp_path, capsys) -> None:
 
 
 def test_histogram_rejects_steady_state(tmp_path, capsys) -> None:
-    text = BASE.replace("metric = discounted", "metric = steady-state").replace(
-        "discount = 0.9", "burn_in = 2"
-    )
-    cfg = _config(tmp_path, text, "steady.cfg")
+    cfg = _config(tmp_path, STEADY, "steady.cfg")
     assert main(["histogram", "--config", str(cfg)]) == 2
     assert "histograms are defined for the discounted metric" in capsys.readouterr().err
 
@@ -446,7 +454,7 @@ def test_policy_diff_reports_structure(tmp_path, capsys) -> None:
     assert listed == big
 
 
-def test_policy_diff_bad_file_is_a_config_error(tmp_path) -> None:
+def test_policy_diff_bad_file_is_a_config_error(tmp_path, capsys) -> None:
     missing = tmp_path / "nope.policy"
     assert main(["policy-diff", str(missing)]) == 2
     garbled = tmp_path / "garbled.policy"
@@ -454,16 +462,27 @@ def test_policy_diff_bad_file_is_a_config_error(tmp_path) -> None:
     assert main(["policy-diff", str(garbled)]) == 2
     assert main(["policy-diff"]) == 2
 
+    # A row with a non-numeric index, action or value, read by policy-diff
+    # and as a cached policy.
+    cfg = _config(tmp_path, BASE.replace("list = minslack,", "list = optimal, minslack,"))
+    assert main(["solve", "--config", str(cfg)]) == 0
+    policy = tmp_path / "policies" / "tiny.policy"
+    lines = policy.read_text(encoding="ascii").splitlines()
+    for cell, bad in ((0, "x0"), (-2, "q"), (-1, "zz")):
+        cells = lines[3].split(",")
+        cells[cell] = bad
+        row = ",".join(cells)
+        policy.write_text("\n".join([*lines[:3], row, *lines[4:]]) + "\n", encoding="ascii")
+        capsys.readouterr()
+        assert main(["policy-diff", str(policy)]) == 2
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(str(policy) in e and repr(row) in e for e in err)
+
 
 # =============================================================
 # verify and exit codes
 # =============================================================
-
-
-def test_policy_diff_config_alias_is_labelled_a_policy_file(capsys) -> None:
-    with pytest.raises(SystemExit):
-        main(["policy-diff", "--help"])
-    assert "--config CONFIG  policy file path" in capsys.readouterr().out
 
 
 def test_verify_reports_all_pass(capsys) -> None:
@@ -471,6 +490,23 @@ def test_verify_reports_all_pass(capsys) -> None:
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 5
     assert all(ln.startswith("PASS ") for ln in lines)
+
+
+@pytest.mark.parametrize(
+    ("subcommand", "onto_directory"),
+    [("simulate", False), ("simulate", True), ("solve", True)],
+    ids=["simulate-into-missing-directory", "simulate-onto-directory", "solve-onto-directory"],
+)
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, subcommand, onto_directory) -> None:
+    # Reported after the whole run, as one stderr line that names the path.
+    out = tmp_path / "none" / "x.csv"
+    if onto_directory:
+        out = tmp_path / "out"
+        out.mkdir()
+    assert main([subcommand, "--config", str(_config(tmp_path)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write") and err.count("\n") == 1
+    assert str(out) in err
 
 
 def test_simulate_rejects_check(tmp_path) -> None:
@@ -522,6 +558,7 @@ OUTPUT_SHA256 = {
     "solve gamma90": "f3c202b913d0adb47abdb206cb2f80d681b027ca1a4292e962b5a9009c9dd4ab",
     "simulate arrivals_0_1_10": "be2496cd3ac68ea44d036a00a6766a8e3c817bbd16b9b20d0cf96d47a7985835",
     "simulate arrivals_0_1_2": "00eaa180a6b2012a9b3d4b8c685788297b7f3dee7b383e082a3632eb38421fd0",
+    "simulate churn_fraction": "2515928040e0a09a90e022e629f1a559c8b1154ab2d13d322d7f9750453ab379",
     "simulate costs_1_20": "a6454a962f33040b6db749c82ab6ae4afa72d37c6eeba86af82e5312361ab63b",
     "simulate costs_1_5": "cd9ff273e94c9257dae3d44200712d5cb8c96ed68d8a940606bb028d0030b4a6",
     "simulate gamma85": "8054a5f9c6c65e00a8126d2f5e7646a54ce76ac91dcd9f70d1ca5a6fddb70525",
@@ -636,5 +673,5 @@ def test_config_fuzz_exits_cleanly(tmp_path, capsys) -> None:
                         or not re.search(rf"\[{section}\]|\b{key}\b", err)
                     ):
                         problems.append(f"{what}: exit {code}, stderr {err!r}")
-    assert len(shapes) == 5 and case > 500
+    assert len(shapes) == 6 and case > 500
     assert problems == []

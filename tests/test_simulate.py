@@ -391,7 +391,7 @@ def test_fastlane_routing() -> None:
     assert _fastlane_eligible(_flagship(Mechanism.constant(2)))
     assert not _fastlane_eligible(_flagship(Mechanism.minslack()))
     assert not _fastlane_eligible(_flagship(Mechanism.constant(2, sort_key="fcfs")))
-    assert _fastlane_eligible(
+    assert not _fastlane_eligible(
         _flagship(Mechanism.prio_minslack(), metric="steady-state", discount=None)
     )
     three_point = SimulationConfig(
@@ -461,18 +461,21 @@ def _flagship_optimal() -> OptimalMechanism:
 
 @pytest.mark.parametrize("burn_in", [0, 20])
 def test_count_engine_matches_object_engine_under_steady_state(burn_in) -> None:
-    # The count engine hands its counts to the unit-stake scoring; the
-    # queue builds (0.9 arrivals against 0.4 capacity), so the order matters.
+    # The count engine's queue shapes under the steady-state metric run on
+    # the unit-stake engine; the queue builds (0.9 arrivals against 0.4
+    # capacity), so the order matters. An optimal policy solves the
+    # discounted metric only.
     for mechanism in (
-        _flagship_optimal(),
         Mechanism.prio_minslack(),
         Mechanism.alpha_minslack("0.9"),
         Mechanism.constant(1),
     ):
         config = _flagship(mechanism, steps=60, trials=20, seed=41, metric="steady-state",
                            discount=None, burn_in=burn_in)
-        assert _fastlane_eligible(config)
+        assert not _fastlane_eligible(config)
         assert list(monte_carlo(config).values) == _object_values(config), mechanism.name
+    with pytest.raises(ConfigError, match="discounted metric"):
+        _flagship(_flagship_optimal(), metric="steady-state", discount=None, burn_in=burn_in)
 
 
 def test_count_engine_audits_a_policy_that_breaks_its_window() -> None:
@@ -480,11 +483,10 @@ def test_count_engine_audits_a_policy_that_breaks_its_window() -> None:
     policy = mech.policy
     greedy = np.full(policy.actions.size, policy.space.budget, np.int8)
     tampered = replace(mech, policy=replace(policy, actions=greedy))
-    for metric, discount in (("discounted", 0.9), ("steady-state", None)):
-        config = _flagship(tampered, metric=metric, discount=discount)
-        assert _fastlane_eligible(config)
-        with pytest.raises(FeasibilityViolation, match="optimal produced an infeasible trace at seed"):
-            monte_carlo(config)
+    config = _flagship(tampered)
+    assert _fastlane_eligible(config)
+    with pytest.raises(FeasibilityViolation, match="optimal produced an infeasible trace at seed"):
+        monte_carlo(config)
 
 
 def test_optimal_policy_that_does_not_fit_the_run_is_a_model_mismatch() -> None:
@@ -501,9 +503,8 @@ def test_optimal_policy_that_does_not_fit_the_run_is_a_model_mismatch() -> None:
     other_window = replace(_flagship(mech), constraints=ConstraintSet([Constraint(3, 5)]))
     with pytest.raises(ModelMismatch):
         monte_carlo(other_window)
-    steady = _flagship(mech, steps=30, metric="steady-state", discount=None)
-    assert _fastlane_eligible(steady)
-    assert monte_carlo(steady).mechanism == "optimal"
+    with pytest.raises(ConfigError, match="discounted metric"):
+        _flagship(mech, steps=30, metric="steady-state", discount=None)
 
 
 # =============================================================
@@ -577,30 +578,26 @@ def test_monte_carlo_runs_mechanisms_without_run_trial(monkeypatch) -> None:
 
     config = _flagship(Mechanism.minslack(), steps=40, trials=3, metric="steady-state",
                        discount=None, burn_in=5)
-    optimal = [
-        _flagship(_flagship_optimal(), steps=40, trials=3),
-        _flagship(_flagship_optimal(), steps=40, trials=3, metric="steady-state",
-                  discount=None, burn_in=5),
-    ]
+    optimal = _flagship(_flagship_optimal(), steps=40, trials=3)
     want = _object_values(config)
-    want_optimal = [_object_values(c) for c in optimal]
+    want_optimal = _object_values(optimal)
     monkeypatch.setattr(simulate, "run_trial", refuse)
     assert not _fastlane_eligible(config)
     assert list(monte_carlo(config).values) == want
-    assert [list(monte_carlo(c).values) for c in optimal] == want_optimal
+    assert list(monte_carlo(optimal).values) == want_optimal
 
 
 def test_monte_carlo_builds_no_exit_request(monkeypatch) -> None:
     # Costs are checked once, by SimulationConfig; neither engine builds a
     # validated ExitRequest per draw.
     runs = [(m, v) for m in _UNIT_MECHANISMS for v in (FLAGSHIP_VALUES, Pareto(2.0, 5.0))]
-    runs.append((_flagship_optimal(), FLAGSHIP_VALUES))
     configs = [
         _flagship(mech, steps=40, trials=3, values=values, metric=metric, discount=discount,
                   burn_in=5)
         for metric, discount in (("discounted", 0.9), ("steady-state", None))
         for mech, values in runs
     ]
+    configs.append(_flagship(_flagship_optimal(), steps=40, trials=3, burn_in=5))
     want = [_object_values(c) for c in configs]
 
     def refuse(self):
@@ -646,6 +643,27 @@ def test_unit_stake_engine_raises_where_run_trial_does() -> None:
                     discount=None, initial_stake=None)
     with pytest.raises(NoWithdrawals):
         monte_carlo(quiet)
+
+
+def test_unit_stake_engine_audits_a_capacity_that_breaks_its_window(monkeypatch) -> None:
+    # A capacity map one above the slack overfills the window; the audit
+    # names the first trial it breaks, under either metric and mode.
+    monkeypatch.setattr(Mechanism, "capacity", lambda self, slack: slack + 1)
+    for label, (constraints, stake) in _UNIT_CONSTRAINTS.items():
+        for metric, discount in (("discounted", 0.9), ("steady-state", None)):
+            config = SimulationConfig(
+                constraints=constraints,
+                mechanism=Mechanism.prio_minslack(),
+                arrival_counts=FLAGSHIP_COUNTS,
+                values=FLAGSHIP_VALUES,
+                steps=60,
+                seed=7,
+                metric=metric,
+                discount=discount,
+                initial_stake=stake,
+            )
+            with pytest.raises(FeasibilityViolation, match="infeasible trace at seed 7:"):
+                _unit_stake_values(config)
 
 
 @given(
@@ -798,6 +816,8 @@ def test_config_validation() -> None:
         SimulationConfig(**{**good, "constraints": frac})
     with pytest.raises(ConfigError, match="seed"):
         SimulationConfig(**{**good, "seed": -1})
+    with pytest.raises(ConfigError, match="initial_stake"):
+        SimulationConfig(**{**good, "initial_stake": -1})
     for values in (
         Discrete((-1, 10), (0.9, 0.1)),
         Discrete((1, math.nan), (0.9, 0.1)),

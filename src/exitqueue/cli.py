@@ -408,6 +408,12 @@ def _mechanisms(spec: ExperimentSpec) -> list[Mechanism | OptimalMechanism]:
     return [optimal if m is None else m for m in out]
 
 
+def _check_out(out: str | None) -> None:
+    """Fail before the run does its work, not after, if ``out`` cannot be a file."""
+    if out not in (None, "-") and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        raise ConfigError(f"cannot write {out}: not a file in an existing directory")
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -431,12 +437,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     spec = load_experiment(args.config)
     if spec.policy is None:
         raise ConfigError("config has no [policy] section to solve")
+    target = Path(args.out) if args.out else spec.policy.path
+    if target.is_dir():
+        raise ConfigError(f"cannot write policy file {target}: is a directory")
     policy = value_iteration(_model(spec), tolerance=spec.policy.tolerance)
     info = policy.info
     print(
         f"states={policy.space.n} iterations={info.iterations} residual={info.residual:.3e}"
     )
-    target = Path(args.out) if args.out else spec.policy.path
     if args.check:
         if not target.exists():
             raise ConfigError(f"--check: no existing policy file at {target}")
@@ -462,27 +470,14 @@ def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> Experime
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _apply_overrides(load_experiment(args.config), args)
+    _check_out(args.out)
     rows = [SIMULATE_HEADER]
     for mech in _mechanisms(spec):
         summary = monte_carlo(spec.sim_config(mech))
         gamma = "" if summary.gamma is None else _fmt(summary.gamma)
-        rows.append(
-            ",".join(
-                [
-                    summary.mechanism,
-                    summary.metric,
-                    _fmt(summary.mean),
-                    _fmt(summary.stderr),
-                    _fmt(summary.p001),
-                    _fmt(summary.p01),
-                    _fmt(summary.p50),
-                    str(summary.trials),
-                    str(summary.steps),
-                    gamma,
-                    str(summary.seed),
-                ]
-            )
-        )
+        stats = (summary.mean, summary.stderr, summary.p001, summary.p01, summary.p50)
+        rows.append(",".join([summary.mechanism, summary.metric, *map(_fmt, stats),
+                              str(summary.trials), str(summary.steps), gamma, str(summary.seed)]))
     _write_out("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 
@@ -491,22 +486,13 @@ def cmd_histogram(args: argparse.Namespace) -> int:
     spec = _apply_overrides(load_experiment(args.config), args)
     if spec.metric != "discounted":
         raise ConfigError("histograms are defined for the discounted metric")
+    _check_out(args.out)
     rows = [HISTOGRAM_HEADER]
     for mech in _mechanisms(spec):
         summary = monte_carlo(spec.sim_config(mech))
         for b in summary.histogram(spec.bin_width):
-            rows.append(
-                ",".join(
-                    [
-                        summary.mechanism,
-                        _fmt(b.left),
-                        _fmt(b.right),
-                        str(b.count),
-                        _fmt(b.density),
-                        _fmt(b.log_density),
-                    ]
-                )
-            )
+            rows.append(",".join([summary.mechanism, _fmt(b.left), _fmt(b.right), str(b.count),
+                                  _fmt(b.density), _fmt(b.log_density)]))
     _write_out("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 

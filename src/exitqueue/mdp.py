@@ -669,10 +669,6 @@ class OptimalMechanism:
     def select(self, state: QueueState) -> tuple[ExitRequest, ...]:
         return optimal_select(self.policy, state, self.arrival_model)
 
-    def model_constraints(self) -> ConstraintSet:
-        """The single absolute constraint this policy was solved for."""
-        return self.policy.constraints
-
 
 # =============================================================
 # Marginal-externality payments
@@ -808,12 +804,9 @@ def vcg_estimate(
         if exact:
             without_agent = branches[0][1, 0], branches[1][1, 0]
             saturated = saturated or max(without_agent) > space.cap
-            k_fixed = next(k for k, p in arrival_model.count_dist if p > 0.0)
-            counts = np.full(m, k_fixed, dtype=np.int64)
-            highs = counts * int(arrival_model.high_prob) if k_fixed else np.zeros(m, np.int64)
-        else:
-            counts = rng.choice(ks, size=m, p=ps)
-            highs = rng.binomial(counts, arrival_model.high_prob)
+        # A deterministic model draws its one certain batch.
+        counts = rng.choice(ks, size=m, p=ps)
+        highs = rng.binomial(counts, arrival_model.high_prob)
         branches, others = _payment_period(
             policy, arrival_model, branches, counts, highs, agent_is_high, agent.cost
         )

@@ -27,12 +27,16 @@ run_trial's, as tests pin. The queue's shape picks the engine:
   * the unit-stake engine takes every other Mechanism, under either metric.
     With unit stakes a Mechanism processes min(capacity(min_slack), waiting)
     requests whatever its order, so the counts follow from the arrivals
-    alone and the order only decides who leaves. One pass over a trial's
-    periods yields its counts, who left, and the queue costs.
+    alone and the order only decides who leaves. One walk over a trial's
+    periods, which knows no metric, yields its counts and who left; each
+    metric is then scored from them.
 
 Either engine yields each trial's cumulative processed counts, and one
 audit checks every trial's counts against the constraints before the trial
-is scored.
+is scored. Both sum costs by one exact-sum rule (_exact_units): every
+finite float is an integer over a power of two, so over their largest
+denominator costs sum exactly in integers, and one division rounds the
+total half to even, as math.fsum rounds the same floats in run_trial.
 
 SimulationConfig is the one gate on a run. It checks once that the cost
 distribution draws only finite, nonnegative costs, so neither engine builds
@@ -47,8 +51,8 @@ import heapq
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import repeat
+from functools import partial
+from itertools import accumulate, repeat
 from typing import Sequence
 
 import numpy as np
@@ -246,6 +250,14 @@ def _discounted(stream: np.ndarray, weights: np.ndarray, gamma: float) -> float:
     return (1.0 - gamma) * math.fsum((weights * stream).tolist())
 
 
+def _exact_units(xs: Sequence[float]) -> tuple[list[int], int]:
+    """``xs`` as integers over their largest denominator ``scale``: a sum of
+    units divided by scale rounds and overflows as math.fsum of the xs."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    scale = max([d for _, d in ratios], default=1)
+    return [n * (scale // d) for n, d in ratios], scale
+
+
 def discounted_reward(result: TrialResult, gamma: float) -> float:
     """Normalized discounted queue cost of a trial.
 
@@ -416,26 +428,24 @@ def _check_policy_fits(mech: OptimalMechanism, config: SimulationConfig) -> None
     points the policy was solved for."""
     costs = [mech.arrival_model.cost_low, mech.arrival_model.cost_high]
     points = sorted(config.values.points) if isinstance(config.values, Discrete) else None
-    if config.constraints != mech.model_constraints() or points != costs:
+    if config.constraints != mech.policy.constraints or points != costs:
         raise ModelMismatch(
-            f"optimal policy solved for costs {costs} under {mech.model_constraints()}; "
+            f"optimal policy solved for costs {costs} under {mech.policy.constraints}; "
             f"the run has values {config.values} under {config.constraints}"
         )
 
 
 def _class_sums(cost_lo: float, cost_hi: float, n_low: int, n_high: int) -> np.ndarray:
-    """sums[a, b] is the cost of a low and b high requests: the exact sum,
-    rounded once, as math.fsum rounds the same multiset in run_trial."""
-    lo, hi = Fraction(cost_lo), Fraction(cost_hi)
-    return np.array([[float(lo * a + hi * b) for b in range(n_high)] for a in range(n_low)])
+    """sums[a, b] is the cost of a low and b high requests, exactly summed."""
+    (lo, hi), scale = _exact_units((cost_lo, cost_hi))
+    return np.array([[(lo * a + hi * b) / scale for b in range(n_high)] for a in range(n_low)])
 
 
 def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     """Queue costs (trials x steps) and cumulative processed counts (trials
     x steps+1), lockstep with run_trial's arrival streams. Queue costs
     charge the pending queue before removal: run_trial's penalty less the
-    fees, each a class sum from _class_sums rounded as math.fsum rounds it,
-    so both engines give the same floats for any two cost points."""
+    fees, each a class sum from _class_sums."""
     m, n = config.trials, config.steps
     cost_lo, cost_hi = sorted(float(p) for p in config.values.points)
     budget = int(config.constraints[0].delta)
@@ -499,9 +509,8 @@ def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
 # Every request a trial draws has stake 1 and bid 0, so a Mechanism processes
 # exactly min(capacity(min_slack), waiting) requests each period, in any
 # order: the count trace follows from the arrival counts alone. The order
-# only decides who leaves, and each metric is summed with math.fsum over the
-# same multisets that run_trial's result gives it, so the two agree bit for
-# bit: fsum rounds exactly, whatever order it sums in.
+# only decides who leaves. So one walk, which knows no metric, yields the
+# counts and who left, and each metric is scored from them.
 
 # A drawn request as the queue order sees it (stake 1, bid 0), and its
 # position in the trial's arrival stream.
@@ -510,11 +519,10 @@ _Arrival = namedtuple("_Arrival", "cost bid index")
 
 def _unit_walk(
     config: SimulationConfig, counts: list[int], costs: np.ndarray, capacity: dict[int, int]
-) -> tuple[list[int], Sequence[int], list[float] | None]:
+) -> tuple[list[int], Sequence[int]]:
     """One pass over a trial's periods: the cumulative processed counts
-    (entry k is the total over periods 1..k), the arrival-stream indices
-    served, in order, and under the discounted metric the per-period queue
-    costs, run_trial's penalty less the costs processed (else None).
+    (entry k is the total over periods 1..k) and the arrival-stream indices
+    served, in processing order.
 
     The window of constraint (delta, T) at period t holds what periods
     t-T+1 .. t-1 processed, and its capacity is delta, or in fraction mode
@@ -523,30 +531,26 @@ def _unit_walk(
     slack. Raises ConfigError, as step does, when a run processes more than
     its initial stake.
 
-    FCFS serves a prefix of the stream, so the pending requests are a slice
-    of it. Cost and bid orders keep them as a heap of ranks from one
-    ``mechanisms._by_cost_desc`` call over ``_Arrival`` records, looked up at
-    call time: a stable sort, so its order restricted to any waiting list is
-    the order ``select`` gives that list.
+    FCFS serves a prefix of the stream. Cost and bid orders keep the waiting
+    requests as a heap of ranks from one ``mechanisms._by_cost_desc`` call
+    over ``_Arrival`` records, looked up at call time: a stable sort, so its
+    order restricted to any waiting list is the order ``select`` gives that
+    list.
     """
     mech = config.mechanism
     fraction = config.constraints.mode is ConstraintMode.FRACTION_OF_STAKE
     stake0 = config.initial_stake
     limits = [(c.window, c.delta.numerator, c.delta.denominator) for c in config.constraints]
-    stream: list[float] | None = [] if config.metric == "discounted" else None
-    cost = costs.tolist()
     heap: list[int] | None = None
     if mech.order != "fcfs":
+        cost = costs.tolist()
         arrivals = list(map(_Arrival, cost, repeat(0.0), range(len(cost))))
         ranked = mechanisms._by_cost_desc(arrivals, mech.order)
         rank = [0] * len(ranked)
         for k, a in enumerate(ranked):
             rank[a.index] = k
-        if stream is not None:
-            cost = [a.cost for a in ranked]  # cost[k] is rank k's
         heap = []
         push, pop = heapq.heappush, heapq.heappop
-    fsum = math.fsum
     cum = [0]
     popped: list[int] = []  # ranks, in processing order
     pos = 0  # requests arrived so far
@@ -566,31 +570,19 @@ def _unit_walk(
         take = capacity.get(free)
         if take is None:
             take = capacity[free] = mech.capacity(free)
-        if heap is None:  # requests done .. pos-1 wait, and the first take leave
-            pos += arrived
-            if take > pos - done:
-                take = pos - done
-            if stream is not None:
-                stream.append(-fsum(cost[done + take : pos]) - fsum(cost[done : done + take]))
-        else:  # the heap holds the waiting ranks, and the take smallest leave
-            for k in rank[pos : pos + arrived]:
+        pos += arrived  # requests done .. pos-1 wait
+        if take > pos - done:
+            take = pos - done
+        if heap is not None:  # the heap holds the waiting ranks; the take smallest leave
+            for k in rank[pos - arrived : pos]:
                 push(heap, k)
-            pos += arrived
-            if take > len(heap):
-                take = len(heap)
-            batch = [pop(heap) for _ in range(take)]
-            if stream is not None:
-                stream.append(
-                    -fsum(map(cost.__getitem__, heap)) - fsum(map(cost.__getitem__, batch))
-                )
-            else:
-                popped += batch
+            popped += [pop(heap) for _ in range(take)]
         cum.append(done + take)
     if stake0 is not None and cum[-1] > stake0:
         raise ConfigError("stake_history entries must be nonnegative")
     if heap is None:
-        return cum, range(cum[-1]), stream
-    return cum, [ranked[k].index for k in popped], stream
+        return cum, range(cum[-1])
+    return cum, [ranked[k].index for k in popped]
 
 
 def _unit_audit(cum: np.ndarray, config: SimulationConfig, seed: int) -> None:
@@ -641,25 +633,43 @@ def _unit_disutility(
     return math.fsum(terms) / len(terms)
 
 
+def _unit_discounted(
+    config: SimulationConfig, counts: np.ndarray, costs: np.ndarray, cum: np.ndarray, served,
+    weights: np.ndarray,
+) -> float:
+    """discounted_reward, from who was served in which period.
+
+    ``came`` sums the exact costs in arrival order and ``went`` in
+    processing order. Period t's queue cost is run_trial's penalty (arrived
+    through t less processed through t) plus the costs processed in t.
+    """
+    units, scale = _exact_units(costs.tolist())
+    came = list(accumulate(units, initial=0))
+    went = list(accumulate(map(units.__getitem__, served), initial=0))
+    ends = cum.tolist()
+    stream = [
+        -((came[a] - went[d]) / scale) - ((went[d] - went[d0]) / scale)
+        for a, d0, d in zip(accumulate(counts.tolist()), ends, ends[1:])
+    ]
+    return _discounted(np.asarray(stream), weights, config.discount)
+
+
 def _unit_stake_values(config: SimulationConfig) -> list[float]:
     """Every trial's metric, trial by trial as run_trial and the metric
     functions would give them, each failure being the one they raise. Each
     trial's counts are audited before the trial is scored."""
-    weights = None
+    score = _unit_disutility
     if config.metric == "discounted":
-        weights = _discount_weights(config.discount, config.steps)
+        score = partial(_unit_discounted, weights=_discount_weights(config.discount, config.steps))
     capacity: dict[int, int] = {}
     values = []
     for i in range(config.trials):
         rng = np.random.default_rng(config.seed + i)
         counts, costs = _draw_arrivals(rng, config.steps, config.arrival_counts, config.values)
-        cum, served, stream = _unit_walk(config, counts.tolist(), costs, capacity)
+        cum, served = _unit_walk(config, counts.tolist(), costs, capacity)
         cum = np.asarray(cum, dtype=np.int64)
         _unit_audit(cum, config, config.seed + i)
-        if stream is None:
-            values.append(_unit_disutility(config, counts, costs, cum, served))
-        else:
-            values.append(_discounted(np.asarray(stream), weights, config.discount))
+        values.append(score(config, counts, costs, cum, served))
     return values
 
 

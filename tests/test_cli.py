@@ -494,19 +494,29 @@ def test_verify_reports_all_pass(capsys) -> None:
 
 @pytest.mark.parametrize(
     ("subcommand", "onto_directory"),
-    [("simulate", False), ("simulate", True), ("solve", True)],
-    ids=["simulate-into-missing-directory", "simulate-onto-directory", "solve-onto-directory"],
+    [("simulate", False), ("simulate", True), ("solve", True), ("histogram", False)],
+    ids=["simulate-into-missing-directory", "simulate-onto-directory", "solve-onto-directory",
+         "histogram-into-missing-directory"],
 )
-def test_unwritable_out_is_a_config_error(tmp_path, capsys, subcommand, onto_directory) -> None:
-    # Reported after the whole run, as one stderr line that names the path.
+def test_unwritable_out_is_a_config_error(tmp_path, monkeypatch, capsys, subcommand,
+                                         onto_directory) -> None:
+    # Reported before any work is done, as one stderr line that names the path.
+    def refuse(*a, **k):
+        raise AssertionError("the run started")
+
     out = tmp_path / "none" / "x.csv"
     if onto_directory:
         out = tmp_path / "out"
         out.mkdir()
-    assert main([subcommand, "--config", str(_config(tmp_path)), "--out", str(out)]) == 2
+    monkeypatch.setattr(cli, "monte_carlo", refuse)
+    monkeypatch.setattr(cli, "value_iteration", refuse)
+    config = BASE.replace("list = minslack,", "list = optimal, minslack,")
+    args = ["--config", str(_config(tmp_path, config)), "--out", str(out)]
+    assert main([subcommand, *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write") and err.count("\n") == 1
     assert str(out) in err
+    assert not (tmp_path / "policies" / "tiny.policy").exists()
 
 
 def test_simulate_rejects_check(tmp_path) -> None:

@@ -422,7 +422,7 @@ def test_optimal_mechanism_wrapper() -> None:
     policy = _tiny_policy()
     mech = OptimalMechanism(policy=policy, arrival_model=FLAGSHIP)
     assert mech.name == "optimal"
-    cs = mech.model_constraints()
+    cs = mech.policy.constraints
     assert (int(cs[0].delta), cs[0].window) == (2, 2)
     state = _queue([ExitRequest("high", 1, 10.0)], budget=2, window=2)
     assert mech.select(state) == optimal_select(policy, state, FLAGSHIP)

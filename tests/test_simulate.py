@@ -536,7 +536,15 @@ _UNIT_CONSTRAINTS = {
     "two-windows": (ConstraintSet([Constraint(2, 3), Constraint(5, 8)]), None),
     "fraction": (ConstraintSet([Constraint("1/50", 1), Constraint("1/20", 6)], _FRACTION), 200),
 }
-_UNIT_VALUES = [FLAGSHIP_VALUES, Uniform(0.0, 1.0), Exponential(0.5), Pareto(2.0, 5.0)]
+# Thirds are not integral, and costs near 1e-12 make the exact-sum scale large.
+_UNIT_VALUES = [
+    FLAGSHIP_VALUES,
+    Discrete((1 / 3, 2.5, 10.0), (0.6, 0.3, 0.1)),
+    Uniform(0.0, 1.0),
+    Exponential(0.5),
+    Exponential(1e12),
+    Pareto(2.0, 5.0),
+]
 
 
 def _object_values(config: SimulationConfig) -> list[float]:
@@ -570,6 +578,35 @@ def test_unit_stake_engine_matches_object_engine_bitwise(mechanism, metric) -> N
             )
             want = _object_values(config)
             assert _unit_stake_values(config) == want, (label, values)
+
+
+def test_exact_units_round_as_fsum() -> None:
+    # The exact-sum rule both engines use: a sum of units over the scale is
+    # the float math.fsum gives for the same costs, and overflows as it does.
+    cases = [
+        [2.0**53, 1.0],  # 2^53 + 1 ties down to even
+        [2.0**53 + 2, 1.0],  # and up
+        [2.0**53, 1.0, 2.0],
+        [1.0, 2.0**-53],  # half of 2^-52 above 1.0 ties down
+        [1.0 + 2.0**-52, 2.0**-53],  # and up
+        [1.0, 2.0**-53, 2.0**-106],  # just past the tie
+        [5e-324, 1.0],  # a subnormal
+        [5e-324, 5e-324, 2.0**-1022],
+        [1 / 3, 1 / 3, 1 / 3],
+        [0.1] * 10,
+        [1 / 3, 2 / 3, 1e-12, 10.0, 1e16],
+        [1e16, 1.0, -1e16],
+        [],
+    ]
+    for xs in cases:
+        units, scale = simulate._exact_units(xs)
+        assert sum(units) / scale == math.fsum(xs), xs
+        assert [u / scale for u in units] == xs
+    units, scale = simulate._exact_units([1.7e308, 1.7e308])
+    with pytest.raises(OverflowError):
+        math.fsum([1.7e308, 1.7e308])
+    with pytest.raises(OverflowError):
+        sum(units) / scale
 
 
 def test_monte_carlo_runs_mechanisms_without_run_trial(monkeypatch) -> None:

@@ -17,18 +17,13 @@ Conventions:
   * Capacities are integers: ``floor(delta * stake)`` in fraction mode, the
     count itself in absolute mode. Deltas are exact rationals so capacity
     never suffers binary-float rounding.
-  * History is shared, not copied: the states along one trajectory read
-    prefixes of the same append-only lists of processed totals and stakes,
-    so ``step`` costs O(1) in the periods already simulated. Stepping a
-    state that already has a successor copies its prefix first (fork on
-    write), so every state keeps its own values.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -168,26 +163,7 @@ class ExitRequest:
             raise ConfigError(f"bid must be nonnegative, got {self.bid}")
 
 
-def _validate_waiting(waiting: Sequence[ExitRequest], period: int) -> None:
-    seen: set[str] = set()
-    last = 1
-    for r in waiting:
-        if r.validator in seen:
-            raise ConfigError(f"duplicate validator id in waiting list: {r.validator}")
-        seen.add(r.validator)
-        if r.requested_at > period:
-            raise ConfigError(
-                f"request {r.validator} has requested_at={r.requested_at} "
-                f"after current period {period}"
-            )
-        if r.requested_at < last:
-            raise ConfigError(
-                f"waiting list is not in arrival order: {r.validator} "
-                f"(requested_at={r.requested_at}) follows a request from period {last}"
-            )
-        last = r.requested_at
-
-
+@dataclass(frozen=True)
 class QueueState:
     """Immutable snapshot of the queue at the start of a period.
 
@@ -196,105 +172,66 @@ class QueueState:
     checks it). ``processed_totals`` covers periods 1..period-1.
     ``stake_history`` is None when no fraction constraint needs it.
 
-    The constructor validates everything; ``step`` builds successors through
-    ``_successor``, which checks only the new entries. Equality, hashing and
-    repr are by value, as for a frozen dataclass of the five fields. States
-    of one trajectory share their history lists (module docstring), so do
-    not step them from several threads at once.
+    The constructor stores the sequences as tuples and validates every
+    field; ``step`` builds each successor through it too.
     """
 
-    __slots__ = ("constraints", "period", "waiting", "_totals", "_stakes", "_window_sums")
+    constraints: ConstraintSet
+    period: int
+    waiting: tuple[ExitRequest, ...]
+    processed_totals: tuple[int, ...] = ()
+    stake_history: tuple[int, ...] | None = None
 
-    def __init__(
-        self,
-        constraints: ConstraintSet,
-        period: int,
-        waiting: Sequence[ExitRequest],
-        processed_totals: Sequence[int] = (),
-        stake_history: Sequence[int] | None = None,
-    ) -> None:
-        totals = list(processed_totals)
-        stakes = None if stake_history is None else list(stake_history)
+    def __post_init__(self) -> None:
+        init = object.__setattr__
+        init(self, "waiting", tuple(self.waiting))
+        init(self, "processed_totals", tuple(self.processed_totals))
+        if self.stake_history is not None:
+            init(self, "stake_history", tuple(self.stake_history))
+        totals, stakes, period = self.processed_totals, self.stake_history, self.period
         if period < 1:
             raise ConfigError(f"period must be >= 1, got {period}")
         if len(totals) != period - 1:
             raise ConfigError(
                 f"processed_totals covers {len(totals)} periods, expected {period - 1}"
             )
-        if any(p < 0 for p in totals):
-            raise NegativeProcessed(f"negative processed total in {tuple(totals)}")
+        if min(totals, default=0) < 0:
+            raise NegativeProcessed(f"negative processed total in {totals}")
         if stakes is not None:
             if len(stakes) != period:
                 raise ConfigError(f"stake_history has {len(stakes)} entries, expected {period}")
-            if any(s < 0 for s in stakes):
+            if min(stakes, default=0) < 0:
                 raise ConfigError("stake_history entries must be nonnegative")
-        elif constraints.mode is ConstraintMode.FRACTION_OF_STAKE:
+        elif self.constraints.mode is ConstraintMode.FRACTION_OF_STAKE:
             raise ConfigError("fraction-mode constraints require a stake history")
-        waiting = tuple(waiting)
-        _validate_waiting(waiting, period)
-        sums = tuple(sum(totals[max(0, period - c.window):]) for c in constraints)
-        self._fill(constraints, period, waiting, totals, stakes, sums)
-
-    def _fill(self, constraints, period, waiting, totals, stakes, sums) -> None:
-        # ``totals`` and ``stakes`` may run past this state's prefix (period-1
-        # and period entries) once a successor has appended to them.
-        init = object.__setattr__
-        init(self, "constraints", constraints)
-        init(self, "period", period)
-        init(self, "waiting", waiting)
-        init(self, "_totals", totals)
-        init(self, "_stakes", stakes)
-        init(self, "_window_sums", sums)  # stake processed in each constraint's open window
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    @property
-    def processed_totals(self) -> tuple[int, ...]:
-        return tuple(self._totals[: self.period - 1])
-
-    @property
-    def stake_history(self) -> tuple[int, ...] | None:
-        if self._stakes is None:
-            return None
-        return tuple(self._stakes[: self.period])
+        seen: set[str] = set()
+        last = 1
+        for r in self.waiting:
+            if r.validator in seen:
+                raise ConfigError(f"duplicate validator id in waiting list: {r.validator}")
+            seen.add(r.validator)
+            if r.requested_at > period:
+                raise ConfigError(
+                    f"request {r.validator} has requested_at={r.requested_at} "
+                    f"after current period {period}"
+                )
+            if r.requested_at < last:
+                raise ConfigError(
+                    f"waiting list is not in arrival order: {r.validator} "
+                    f"(requested_at={r.requested_at}) follows a request from period {last}"
+                )
+            last = r.requested_at
 
     def recent_totals(self, n: int) -> tuple[int, ...]:
         """The last ``n`` processed totals, oldest first (fewer near genesis)."""
-        end = self.period - 1
-        return tuple(self._totals[max(0, end - n):end])
+        return self.processed_totals[max(0, self.period - 1 - n):]
 
     @property
     def total_stake(self) -> int | None:
         """Current stake S(0) - sum(processed_totals); None when untracked."""
-        if self._stakes is None:
+        if self.stake_history is None:
             return None
-        return self._stakes[self.period - 1]
-
-    def _values(self) -> tuple:
-        return (
-            self.constraints,
-            self.period,
-            self.waiting,
-            self.processed_totals,
-            self.stake_history,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ("constraints", "period", "waiting", "processed_totals", "stake_history")
-        body = ", ".join(f"{f}={v!r}" for f, v in zip(fields, self._values()))
-        return f"QueueState({body})"
+        return self.stake_history[-1]
 
     @classmethod
     def initial(
@@ -305,60 +242,7 @@ class QueueState:
     ) -> "QueueState":
         """Fresh period-1 state holding the first arrival batch."""
         history = None if total_stake is None else (int(total_stake),)
-        return cls(
-            constraints=constraints,
-            period=1,
-            waiting=tuple(arrivals),
-            processed_totals=(),
-            stake_history=history,
-        )
-
-    def _successor(
-        self,
-        remaining: tuple[ExitRequest, ...],
-        arrivals: tuple[ExitRequest, ...],
-        processed: int,
-    ) -> "QueueState":
-        """The next period's state, checking only what is new.
-
-        ``remaining`` is this state's waiting list less what was processed
-        and ``processed`` the stake that left. The new history entries are
-        appended to the lists this state reads; if a successor has already
-        appended to them, the prefix is copied first (fork on write).
-        """
-        t = self.period
-        for r in arrivals:
-            if r.requested_at != t + 1:
-                raise ConfigError(
-                    f"arrival {r.validator} has requested_at={r.requested_at}, "
-                    f"expected {t + 1}"
-                )
-        totals, stakes = self._totals, self._stakes
-        if stakes is not None:
-            left = stakes[t - 1] - processed
-            if left < 0:
-                raise ConfigError("stake_history entries must be nonnegative")
-        if arrivals:
-            seen = {r.validator for r in remaining}
-            for r in arrivals:
-                if r.validator in seen:
-                    raise ConfigError(f"duplicate validator id in waiting list: {r.validator}")
-                seen.add(r.validator)
-
-        if len(totals) >= t:
-            totals = totals[: t - 1]
-            stakes = None if stakes is None else stakes[:t]
-        totals.append(processed)
-        if stakes is not None:
-            stakes.append(left)
-        # Period t joins every window; period t + 1 - T leaves a window of T.
-        sums = tuple(
-            s + processed - (totals[t - c.window] if c.window <= t else 0)
-            for s, c in zip(self._window_sums, self.constraints.constraints)
-        )
-        nxt = object.__new__(QueueState)
-        nxt._fill(self.constraints, t + 1, remaining + arrivals, totals, stakes, sums)
-        return nxt
+        return cls(constraints=constraints, period=1, waiting=arrivals, stake_history=history)
 
 
 # =============================================================
@@ -375,13 +259,6 @@ def capacity(delta: Fraction, mode: ConstraintMode, stake_basis: int | None) -> 
     return stake_basis * delta.numerator // delta.denominator
 
 
-def _stake_at(state: QueueState, anchor: int) -> int | None:
-    # Pre-genesis anchors use the genesis stake.
-    if state._stakes is None:
-        return None
-    return state._stakes[max(anchor, 0)]
-
-
 def slack(i: int, state: QueueState) -> int:
     """Remaining capacity of constraint i for the current period.
 
@@ -389,8 +266,10 @@ def slack(i: int, state: QueueState) -> int:
     periods t-T_i+1 .. t-1. Unclamped; min_slack applies the zero floor.
     """
     c = state.constraints[i]
-    cap = capacity(c.delta, state.constraints.mode, _stake_at(state, state.period - c.window))
-    return cap - state._window_sums[i]
+    anchor = max(0, state.period - c.window)  # pre-genesis anchors read genesis
+    stakes = state.stake_history
+    cap = capacity(c.delta, state.constraints.mode, None if stakes is None else stakes[anchor])
+    return cap - sum(state.processed_totals[anchor:])
 
 
 def min_slack(state: QueueState) -> int:
@@ -432,8 +311,21 @@ def step(
             f"at period {state.period}"
         )
 
-    remaining = tuple(r for r in state.waiting if r.validator not in processed_ids)
-    return state._successor(remaining, tuple(arrivals), stake_sum)
+    t = state.period
+    arrivals = tuple(arrivals)
+    for r in arrivals:
+        if r.requested_at != t + 1:
+            raise ConfigError(
+                f"arrival {r.validator} has requested_at={r.requested_at}, expected {t + 1}"
+            )
+    stakes = state.stake_history
+    return QueueState(
+        constraints=state.constraints,
+        period=t + 1,
+        waiting=tuple(r for r in state.waiting if r.validator not in processed_ids) + arrivals,
+        processed_totals=state.processed_totals + (stake_sum,),
+        stake_history=None if stakes is None else stakes + (stakes[-1] - stake_sum,),
+    )
 
 
 # =============================================================

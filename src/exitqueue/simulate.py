@@ -39,10 +39,12 @@ denominator costs sum exactly in integers, and one division rounds the
 total half to even, as math.fsum rounds the same floats in run_trial.
 
 SimulationConfig is the one gate on a run. It checks once that the cost
-distribution draws only finite, nonnegative costs, so neither engine builds
-an ExitRequest: they rank plain (cost, bid, index) records through the
-mechanisms' own order. It also admits an optimal policy only under the
-discounted metric, the decision problem the policy solves.
+distribution has finite parameters and draws no negative cost, so neither
+engine builds an ExitRequest: they rank plain (cost, bid, index) records
+through the mechanisms' own order. It also admits an optimal policy only
+under the discounted metric, the decision problem the policy solves. Finite
+parameters can still draw an infinite cost, or costs whose sums overflow;
+such a trial scores nan, and monte_carlo raises ConfigError for the first.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, repeat
+from operator import truediv
 from typing import Sequence
 
 import numpy as np
@@ -325,25 +328,37 @@ class MonteCarloSummary:
         return make_histogram(self.values, bin_width)
 
 
+def _or_nan(f, *args) -> float:
+    """f(*args), or nan where a sum in it leaves the float range."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.nan
+
+
 def _summarize(values: Sequence[float], config: SimulationConfig) -> MonteCarloSummary:
     arr = np.asarray(values, dtype=np.float64)
     n = arr.size
-    mean = math.fsum(values) / n
     stderr = float(np.std(arr, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     p001, p01, p50 = (float(q) for q in np.quantile(arr, [0.001, 0.01, 0.5]))
+    stats = {"mean": _or_nan(math.fsum, values) / n, "stderr": stderr,
+             "p001": p001, "p01": p01, "p50": p50}
+    bad = [name for name, x in stats.items() if not math.isfinite(x)]
+    if bad:  # a non-finite trial value makes the mean non-finite too
+        first = np.flatnonzero(~np.isfinite(arr))
+        where = (f"at seed {config.seed + int(first[0])}" if first.size
+                 else f"in the {bad[0]} of seeds {config.seed}-{config.seed + n - 1}")
+        raise ConfigError(f"values must draw costs whose sums stay in the float range; "
+                          f"{config.values} leaves it {where}")
     return MonteCarloSummary(
         mechanism=config.mechanism.name,
         metric=config.metric,
-        mean=mean,
-        stderr=stderr,
-        p001=p001,
-        p01=p01,
-        p50=p50,
         trials=config.trials,
         steps=config.steps,
         gamma=config.discount,
         seed=config.seed,
         values=tuple(float(v) for v in values),
+        **stats,
     )
 
 
@@ -351,16 +366,20 @@ def monte_carlo(config: SimulationConfig) -> MonteCarloSummary:
     """Run `trials` trials at seeds seed, seed+1, ... and aggregate the metric.
 
     Every trial's trace is audited against the constraint set before it is
-    scored.
+    scored. A cost sum, trial metric or summary statistic beyond the float
+    range raises ConfigError, naming the first seed whose trial has one.
     """
     if isinstance(config.mechanism, OptimalMechanism):
         _check_policy_fits(config.mechanism, config)
-    if not _fastlane_eligible(config):
-        return _summarize(_unit_stake_values(config), config)
-    streams, cum = _fastlane_arrays(config)
-    _unit_audit(cum, config, config.seed)
-    weights = _discount_weights(config.discount, config.steps)
-    return _summarize([_discounted(row, weights, config.discount) for row in streams], config)
+    # Out-of-range sums become inf or nan here, and _summarize rejects them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not _fastlane_eligible(config):
+            return _summarize(_unit_stake_values(config), config)
+        streams, cum = _fastlane_arrays(config)
+        _unit_audit(cum, config, config.seed)
+        weights = _discount_weights(config.discount, config.steps)
+        values = [_or_nan(_discounted, row, weights, config.discount) for row in streams]
+        return _summarize(values, config)
 
 
 @dataclass(frozen=True)
@@ -436,9 +455,13 @@ def _check_policy_fits(mech: OptimalMechanism, config: SimulationConfig) -> None
 
 
 def _class_sums(cost_lo: float, cost_hi: float, n_low: int, n_high: int) -> np.ndarray:
-    """sums[a, b] is the cost of a low and b high requests, exactly summed."""
+    """sums[a, b] is the cost of a low and b high requests, exactly summed,
+    or nan where that sum leaves the float range: the table runs past the
+    counts any trial has reached."""
     (lo, hi), scale = _exact_units((cost_lo, cost_hi))
-    return np.array([[(lo * a + hi * b) / scale for b in range(n_high)] for a in range(n_low)])
+    return np.array(
+        [[_or_nan(truediv, lo * a + hi * b, scale) for b in range(n_high)] for a in range(n_low)]
+    )
 
 
 def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -656,8 +679,9 @@ def _unit_discounted(
 
 def _unit_stake_values(config: SimulationConfig) -> list[float]:
     """Every trial's metric, trial by trial as run_trial and the metric
-    functions would give them, each failure being the one they raise. Each
-    trial's counts are audited before the trial is scored."""
+    functions would give them, each failure being the one they raise, but
+    nan where a sum overflows. Each trial's counts are audited before the
+    trial is scored."""
     score = _unit_disutility
     if config.metric == "discounted":
         score = partial(_unit_discounted, weights=_discount_weights(config.discount, config.steps))
@@ -669,7 +693,7 @@ def _unit_stake_values(config: SimulationConfig) -> list[float]:
         cum, served = _unit_walk(config, counts.tolist(), costs, capacity)
         cum = np.asarray(cum, dtype=np.int64)
         _unit_audit(cum, config, config.seed + i)
-        values.append(score(config, counts, costs, cum, served))
+        values.append(_or_nan(score, config, counts, costs, cum, served))
     return values
 
 

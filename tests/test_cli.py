@@ -210,6 +210,29 @@ def test_simulate_rejects_cost_distributions_that_draw_bad_costs(tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    ("text", "values", "where"),
+    [
+        (BASE, "kind = discrete\npoints = 1e308:0.5, 1.7e308:0.5", "at seed 5"),
+        (BASE, "kind = pareto\nshape = 0.005\nscale = 1", "at seed 6"),
+        (STEADY, "kind = pareto\nshape = 0.005\nscale = 1", "at seed 6"),
+        (BASE, "kind = exponential\nrate = 1e-307", "in the stderr of seeds 5-7"),
+    ],
+    ids=["sums-overflow", "pareto-draws-inf", "pareto-draws-inf-steady-state",
+         "stderr-overflows"],
+)
+def test_simulate_rejects_costs_whose_sums_leave_the_float_range(
+    tmp_path, capsys, text, values, where
+) -> None:
+    # Finite parameters can still draw costs, or sum to metrics, beyond the
+    # float range: one line names the values and the first seed that does.
+    text = text.split("[policy]")[0].replace("kind = discrete\npoints = 1:0.9, 10:0.1", values)
+    assert main(["simulate", "--config", str(_config(tmp_path, text, "costs.cfg"))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: values must draw costs whose sums stay in the float range")
+    assert err.endswith(f"leaves it {where}\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     ("old", "new", "args"),
     [
         ("trials = 3", "trials = 0", []),

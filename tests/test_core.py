@@ -223,8 +223,11 @@ def test_step_rejects_overfull_processing() -> None:
 def test_step_rejects_misdated_arrival() -> None:
     cs = _abs([(2, 3)])
     state = QueueState.initial(cs)
-    with pytest.raises(ConfigError):
-        step(state, [_unit("late", 5)], ())
+    # A future date breaks the successor's own checks; a back-dated arrival
+    # (requested_at == period) passes them, so only step catches it.
+    for requested_at in (5, state.period):
+        with pytest.raises(ConfigError):
+            step(state, [_unit("late", requested_at)], ())
 
 
 def test_step_counts_stake_not_heads() -> None:
@@ -289,9 +292,9 @@ def _check_against_constructor(state, waiting, totals, stakes) -> None:
 def test_step_matches_public_constructor(mode, unit_stakes, data) -> None:
     """Random walks that step some states more than once.
 
-    Stepping a state that already has a successor forks the shared history,
-    so every state built, early or late, on any branch, is re-checked at the
-    end as well as when it is built.
+    A state stepped more than once must keep its own values, so every state
+    built, early or late, on any branch, is re-checked at the end as well as
+    when it is built.
     """
     draw = data.draw
     n = draw(st.integers(1, 3), label="constraints")

@@ -436,6 +436,23 @@ def test_count_engine_matches_object_engine_bitwise(mechanism) -> None:
             assert summary.values[i] == discounted_reward(r, config.discount), values
 
 
+def test_count_engine_ignores_class_sums_no_trial_reaches() -> None:
+    # The class-sum table runs to twice the counts reached. Here any two
+    # costs overflow, but the queue never holds two, so every trial is finite.
+    config = SimulationConfig(
+        constraints=ConstraintSet([Constraint(1, 1)]),
+        mechanism=Mechanism.prio_minslack(),
+        arrival_counts=Discrete((0, 1), (0.5, 0.5)),
+        values=Discrete((1e308, 1.7e308), (0.5, 0.5)),
+        steps=12,
+        discount=0.1,
+    )
+    assert _fastlane_eligible(config)
+    for seed in (5, 6, 7):  # one trial each: the stderr of several overflows
+        r = run_trial(config, seed)
+        assert monte_carlo(replace(config, seed=seed)).values == (discounted_reward(r, 0.1),)
+
+
 def test_count_engine_matches_object_engine_for_optimal() -> None:
     arrivals = ArrivalModel(FLAGSHIP_COUNTS.as_count_dist(), 0.1, 1.0, 10.0)
     policy = value_iteration(
@@ -680,6 +697,41 @@ def test_unit_stake_engine_raises_where_run_trial_does() -> None:
                     discount=None, initial_stake=None)
     with pytest.raises(NoWithdrawals):
         monte_carlo(quiet)
+
+
+def _first_seed_beyond_floats(config: SimulationConfig) -> int | None:
+    """The first seed whose run_trial metric overflows or is not finite."""
+    for seed in range(config.seed, config.seed + config.trials):
+        try:
+            (value,) = _object_values(replace(config, seed=seed, trials=1))
+        except OverflowError:
+            return seed
+        if not math.isfinite(value):
+            return seed
+    return None
+
+
+@pytest.mark.parametrize("metric", ["discounted", "steady-state"])
+@pytest.mark.parametrize("mechanism", [Mechanism.minslack(), Mechanism.prio_minslack()],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize(
+    ("values", "seed"),
+    [(Discrete((1e308, 1.7e308), (0.5, 0.5)), 5), (Pareto(0.005, 1.0), 5),
+     (Exponential(1e-307), 5), (Pareto(0.005, 1.0), 40)],
+    ids=["sums-overflow", "pareto-draws-inf", "exponential-near-max", "stderr-overflows"],
+)
+def test_monte_carlo_names_the_first_seed_beyond_the_float_range(
+    values, seed, mechanism, metric
+) -> None:
+    # prio-minslack on the two-point discounted case runs the count engine.
+    config = _flagship(mechanism, steps=12, trials=6, seed=seed, values=values, metric=metric,
+                       discount=0.9 if metric == "discounted" else None, burn_in=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = _first_seed_beyond_floats(config)
+    where = f"at seed {first}$" if first is not None else f"in the stderr of seeds {seed}-"
+    with pytest.raises(ConfigError, match="values must draw costs whose sums stay in the float "
+                       f"range; .* leaves it {where}"):
+        monte_carlo(config)
 
 
 def test_unit_stake_engine_audits_a_capacity_that_breaks_its_window(monkeypatch) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -25,17 +25,40 @@ __all__ = [
     "ParetoConvention",
     "Pareto",
     "ValueDistribution",
+    "normalized_cdf",
+    "draw_indices",
 ]
 
 _PROB_TOL = 1e-9
 
 
+def normalized_cdf(probs) -> np.ndarray:
+    """The cumulative sums of ``probs`` divided by their total, as
+    ``Generator.choice`` builds them; read-only, so it can be shared."""
+    cdf = np.cumsum(np.asarray(probs, dtype=np.float64))
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
+def draw_indices(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
+    """``size`` indices drawn through ``cdf`` from one uniform each: the rule
+    ``Generator.choice(a, size, p=...)`` runs, so the stream is the same."""
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 @dataclass(frozen=True)
 class Discrete:
-    """Finite distribution over real points (ints for arrival counts)."""
+    """Finite distribution over real points (ints for arrival counts).
+
+    ``sample`` draws exactly what ``Generator.choice(points, size, p=probs)``
+    draws from the same generator, through ``cdf`` (built once here);
+    ``test_discrete_sample_matches_generator_choice`` pins the two together.
+    """
 
     points: tuple[float, ...]
     probs: tuple[float, ...]
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, points, probs) -> None:
         object.__setattr__(self, "points", tuple(points))
@@ -48,12 +71,13 @@ class Discrete:
             raise ConfigError(f"negative or nan probability in {self.probs}")
         if not abs(sum(self.probs) - 1.0) <= _PROB_TOL:
             raise ConfigError(f"probabilities sum to {sum(self.probs)}, expected 1")
+        object.__setattr__(self, "cdf", normalized_cdf(self.probs))
 
     def mean(self) -> float:
         return math.fsum(x * p for x, p in zip(self.points, self.probs))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.choice(np.asarray(self.points), size=size, p=np.asarray(self.probs))
+        return np.asarray(self.points)[draw_indices(rng, self.cdf, size)]
 
     def as_count_dist(self) -> tuple[tuple[int, float], ...]:
         """(count, prob) atoms; requires all points to be nonnegative ints."""

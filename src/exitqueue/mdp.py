@@ -40,6 +40,7 @@ from .core import (
     QueueState,
     step,
 )
+from .distributions import draw_indices, normalized_cdf
 from .errors import (
     ConfigError,
     IllegalAction,
@@ -794,7 +795,7 @@ def vcg_estimate(
     )
 
     ks = np.asarray([k for k, _ in arrival_model.count_dist], dtype=np.int64)
-    ps = np.asarray([p for _, p in arrival_model.count_dist], dtype=np.float64)
+    cdf = normalized_cdf([p for _, p in arrival_model.count_dist])
     rng = np.random.default_rng(seed)
 
     acc = np.zeros((2, m), dtype=np.float64)
@@ -805,7 +806,7 @@ def vcg_estimate(
             without_agent = branches[0][1, 0], branches[1][1, 0]
             saturated = saturated or max(without_agent) > space.cap
         # A deterministic model draws its one certain batch.
-        counts = rng.choice(ks, size=m, p=ps)
+        counts = ks[draw_indices(rng, cdf, m)]
         highs = rng.binomial(counts, arrival_model.high_prob)
         branches, others = _payment_period(
             policy, arrival_model, branches, counts, highs, agent_is_high, agent.cost

@@ -67,7 +67,14 @@ from .core import (
     QueueState,
     step,
 )
-from .distributions import Discrete, Exponential, Pareto, Uniform, ValueDistribution
+from .distributions import (
+    Discrete,
+    Exponential,
+    Pareto,
+    Uniform,
+    ValueDistribution,
+    draw_indices,
+)
 from .errors import (
     ConfigError,
     FeasibilityViolation,
@@ -152,7 +159,8 @@ def _finite_nonnegative_costs(values: ValueDistribution) -> bool:
     if isinstance(values, Uniform):
         return 0 <= values.lo and math.isfinite(values.hi)
     if isinstance(values, Exponential):
-        return math.isfinite(values.param)
+        # A rate of 5e-324 is finite, but its scale, and every draw, is not.
+        return math.isfinite(values.param) and math.isfinite(values.scale)
     if isinstance(values, Pareto):
         return math.isfinite(values.shape) and math.isfinite(values.scale)
     return False
@@ -182,8 +190,10 @@ def _draw_arrivals(
     rng: np.random.Generator, steps: int, arrival_counts: Discrete, values: ValueDistribution
 ) -> tuple[np.ndarray, np.ndarray]:
     """A whole trial's arrivals as two bulk draws: the count of every period
-    in one call, then every cost in a second. Both engines replay this one
-    stream, so their trials see identical arrivals."""
+    in one call, then every cost in a second. run_trial and the unit-stake
+    engine replay this stream; the count engine draws the same uniforms
+    but maps each to its cost class, not its cost, so every engine's trial
+    sees identical arrivals."""
     counts = np.asarray(arrival_counts.sample(rng, steps), dtype=np.int64)
     return counts, np.asarray(values.sample(rng, int(counts.sum())), dtype=np.float64)
 
@@ -429,6 +439,9 @@ def make_histogram(values: Sequence[float], bin_width: float = 0.1) -> list[Hist
 # order, which counts alone cannot express, and bids are not counted, so
 # both go to the unit-stake engine. So does the steady-state metric, which
 # needs who left when; SimulationConfig admits no optimal policy under it.
+# Nor does it need the drawn costs: each trial draws its period counts and
+# one uniform per arrival, as _draw_arrivals does, and keeps only the cost
+# class that uniform maps to, counted per period.
 
 
 def _fastlane_eligible(config: SimulationConfig) -> bool:
@@ -478,15 +491,16 @@ def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     small = np.min_scalar_type(max(k for k, _ in config.arrival_counts.as_count_dist()))
     counts = np.empty((m, n), dtype=small)
     highs = np.empty((m, n), dtype=small)
+    # A class is high when its uniform maps to the high point's index, which
+    # need not be the last: a Discrete may list its points high-first.
+    cdf, high = config.values.cdf, config.values.points.index(max(config.values.points))
+    periods = np.arange(n)
     for i in range(m):
         rng = np.random.default_rng(config.seed + i)
-        c, costs = _draw_arrivals(rng, n, config.arrival_counts, config.values)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(c, out=offsets[1:])
-        cum_high = np.zeros(costs.size + 1, dtype=np.int64)
-        np.cumsum(costs == cost_hi, out=cum_high[1:])
+        c = np.asarray(config.arrival_counts.sample(rng, n), dtype=np.int64)
+        is_high = draw_indices(rng, cdf, int(c.sum())) == high
         counts[i] = c
-        highs[i] = cum_high[offsets[1:]] - cum_high[offsets[:-1]]
+        highs[i] = np.bincount(periods.repeat(c)[is_high], minlength=n)
 
     mech = config.mechanism
     if isinstance(mech, OptimalMechanism):

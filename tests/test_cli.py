@@ -200,13 +200,17 @@ def test_simulate_rejects_costs_that_are_negative_or_not_finite(
 @pytest.mark.parametrize(
     "values",
     ["kind = exponential\nrate = nan", "kind = exponential\nscale = inf",
+     "kind = exponential\nrate = 5e-324",
      "kind = pareto\nshape = nan\nscale = 5", "kind = pareto\nshape = 2\nscale = inf",
      "kind = uniform\nlo = -1\nhi = 1"],
 )
 def test_simulate_rejects_cost_distributions_that_draw_bad_costs(tmp_path, capsys, values) -> None:
+    # Rejected at the config, before any trial is drawn: a rate of 5e-324
+    # has an infinite scale.
     text = BASE[: BASE.index("[policy]")].replace("kind = discrete\npoints = 1:0.9, 10:0.1", values)
     assert main(["simulate", "--config", str(_config(tmp_path, text, "costs.cfg"))]) == 2
-    assert capsys.readouterr().err.startswith("config error: values must draw")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: values must draw finite nonnegative costs")
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,38 @@ def test_discrete_sampling_hits_only_support() -> None:
     assert abs(draws.mean() - d.mean()) < 0.15
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        Discrete((0, 1, 5), (0.55, 0.35, 0.1)),
+        Discrete((4,), (1.0,)),
+        Discrete((1, 10), (0.0, 1.0)),
+        Discrete((1, 10), (1.0, 0.0)),
+        Discrete((10, 1), (0.1, 0.9)),
+        Discrete((1.0, 2.5, 10.0), (0.3, 0.3, 0.4 + 1e-10)),
+        Discrete((1, 2.5), (0.5, 0.5 - 1e-10)),
+    ],
+    ids=["ints", "one-point", "zero-first", "zero-last", "high-first", "over-one",
+         "under-one"],
+)
+def test_discrete_sample_matches_generator_choice(d) -> None:
+    # Every stream in the program rests on this equality: if numpy changes
+    # how choice draws, this fails rather than every trial moving silently.
+    points, probs = np.asarray(d.points), np.asarray(d.probs)
+    for seed in range(500):
+        for size in (0, 1, 350):
+            ours = d.sample(np.random.default_rng(seed), size)
+            theirs = np.random.default_rng(seed).choice(points, size, p=probs)
+            assert np.array_equal(ours, theirs) and ours.dtype == theirs.dtype, (seed, size)
+
+
+def test_discrete_cdf_is_no_part_of_its_identity() -> None:
+    d = Discrete((1, 10), (0.9, 0.1))
+    assert d == Discrete((1, 10), (0.9, 0.1)) and hash(d) == hash(Discrete((1, 10), (0.9, 0.1)))
+    assert repr(d) == "Discrete(points=(1, 10), probs=(0.9, 0.1))"
+    assert d.cdf.tolist() == [0.9, 1.0] and not d.cdf.flags.writeable
+
+
 def test_uniform() -> None:
     u = Uniform(0.0, 1.0)
     draws = u.sample(np.random.default_rng(1), 50_000)

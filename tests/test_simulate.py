@@ -427,7 +427,13 @@ def test_fastlane_routing() -> None:
 )
 def test_count_engine_matches_object_engine_bitwise(mechanism) -> None:
     # Thirds are not integral: a class sum must round as math.fsum rounds it.
-    for values in (FLAGSHIP_VALUES, Discrete((1 / 3, 2 / 3), (0.9, 0.1))):
+    # The high point may be listed first, or never drawn.
+    for values in (
+        FLAGSHIP_VALUES,
+        Discrete((1 / 3, 2 / 3), (0.9, 0.1)),
+        Discrete((10, 1), (0.1, 0.9)),
+        Discrete((1, 10), (1.0, 0.0)),
+    ):
         config = _flagship(mechanism, steps=60, trials=30, seed=17, values=values)
         assert _fastlane_eligible(config)
         summary = monte_carlo(config)
@@ -915,6 +921,7 @@ def test_config_validation() -> None:
         Uniform(0.0, math.inf),
         Exponential(math.nan),
         Exponential(math.inf),
+        Exponential(5e-324),
         Pareto(math.nan, 5.0),
         Pareto(2.0, math.inf),
     ):

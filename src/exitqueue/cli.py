@@ -62,13 +62,13 @@ from .mdp import (
     MdpModel,
     OptimalMechanism,
     Policy,
+    action_values,
     build_model,
     enumerate_states,
     legal_actions,
     load_policy,
     policy_text,
     save_policy,
-    _sweep,
     value_iteration,
 )
 from .simulate import METRICS, SimulationConfig, brute_force_schedules, monte_carlo
@@ -350,7 +350,8 @@ def _materialize_policy(spec: ExperimentSpec) -> Policy:
 
     A cached policy is used only if its values are a Bellman fixed point of
     the config's model, within the solver tolerance plus the rounding of the
-    file's 13 significant digits carried through one backup.
+    file's 13 significant digits carried through one backup, and no stored
+    action trails the best one by more than ten tolerances plus that bound.
     """
     assert spec.policy is not None
     cache = spec.policy.path
@@ -364,10 +365,15 @@ def _materialize_policy(spec: ExperimentSpec) -> Policy:
             and policy.tolerance == spec.policy.tolerance
         )
         if ok:
-            swept, _ = _sweep(_model(spec).table, policy.discount, policy.values)
+            q = action_values(_model(spec), policy.values)
+            best = q.max(axis=1)
+            lag = best - q[np.arange(policy.space.n), policy.actions]
             scale = float(np.max(np.abs(policy.values)))
             bound = policy.tolerance + (1 + policy.discount) * 5e-13 * scale + 1e-12
-            ok = float(np.max(np.abs(swept - policy.values))) <= bound
+            ok = (
+                float(np.max(np.abs(best - policy.values))) <= bound
+                and float(np.max(lag)) <= 10 * policy.tolerance + bound
+            )
         if not ok:
             raise ModelMismatch(
                 f"cached policy {cache} was not solved for this config's model; "

@@ -25,20 +25,10 @@ __all__ = [
     "ParetoConvention",
     "Pareto",
     "ValueDistribution",
-    "normalized_cdf",
     "draw_indices",
 ]
 
 _PROB_TOL = 1e-9
-
-
-def normalized_cdf(probs) -> np.ndarray:
-    """The cumulative sums of ``probs`` divided by their total, as
-    ``Generator.choice`` builds them; read-only, so it can be shared."""
-    cdf = np.cumsum(np.asarray(probs, dtype=np.float64))
-    cdf /= cdf[-1]
-    cdf.flags.writeable = False
-    return cdf
 
 
 def draw_indices(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
@@ -52,7 +42,9 @@ class Discrete:
     """Finite distribution over real points (ints for arrival counts).
 
     ``sample`` draws exactly what ``Generator.choice(points, size, p=probs)``
-    draws from the same generator, through ``cdf`` (built once here);
+    draws from the same generator, through ``cdf``: the cumulative sums of
+    ``probs`` divided by their total, as ``choice`` builds them, built once
+    here and read-only so it can be shared.
     ``test_discrete_sample_matches_generator_choice`` pins the two together.
     """
 
@@ -71,7 +63,10 @@ class Discrete:
             raise ConfigError(f"negative or nan probability in {self.probs}")
         if not abs(sum(self.probs) - 1.0) <= _PROB_TOL:
             raise ConfigError(f"probabilities sum to {sum(self.probs)}, expected 1")
-        object.__setattr__(self, "cdf", normalized_cdf(self.probs))
+        cdf = np.cumsum(np.asarray(self.probs, dtype=np.float64))
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        object.__setattr__(self, "cdf", cdf)
 
     def mean(self) -> float:
         return math.fsum(x * p for x, p in zip(self.points, self.probs))
@@ -83,10 +78,9 @@ class Discrete:
         """(count, prob) atoms; requires all points to be nonnegative ints."""
         atoms = []
         for x, p in zip(self.points, self.probs):
-            k = int(x)
-            if k != x or k < 0:
+            if not 0 <= x < math.inf or int(x) != x:
                 raise ConfigError(f"arrival counts must be nonnegative integers, got {x}")
-            atoms.append((k, p))
+            atoms.append((int(x), p))
         return tuple(atoms)
 
 

@@ -7,7 +7,7 @@ processed totals, and the action is how many requests to process this
 period. This module enumerates that state space, builds the transition
 structure, solves it by value iteration, and exposes the solved policy both
 as a queue mechanism (``optimal_select`` / ``OptimalMechanism``) and as the
-basis for marginal-externality payments (``vcg_payment``).
+basis for marginal-externality payments (``vcg_estimate``).
 
 State conventions:
   * ``w_low``/``w_high`` are waiting counts clamped to ``cap`` (arrivals
@@ -40,7 +40,7 @@ from .core import (
     QueueState,
     step,
 )
-from .distributions import draw_indices, normalized_cdf
+from .distributions import Discrete
 from .errors import (
     ConfigError,
     IllegalAction,
@@ -48,7 +48,7 @@ from .errors import (
     NonConvergence,
     UnknownRequest,
 )
-from .mechanisms import _by_cost_desc
+from .mechanisms import _by_cost_desc, _prefix
 
 __all__ = [
     "MdpState",
@@ -56,7 +56,6 @@ __all__ = [
     "StateSpace",
     "enumerate_states",
     "legal_actions",
-    "reward",
     "build_transitions",
     "TransitionTable",
     "MdpModel",
@@ -73,10 +72,7 @@ __all__ = [
     "OptimalMechanism",
     "VcgEstimate",
     "vcg_estimate",
-    "vcg_payment",
 ]
-
-_PROB_TOL = 1e-9
 
 
 class MdpState(NamedTuple):
@@ -95,33 +91,18 @@ class ArrivalModel:
     cost_high: float
 
     def __init__(self, count_dist, high_prob: float, cost_low: float, cost_high: float):
-        object.__setattr__(self, "count_dist", tuple((int(k), float(p)) for k, p in count_dist))
+        pairs = tuple(count_dist)
+        counts = Discrete([k for k, _ in pairs], [p for _, p in pairs])
+        object.__setattr__(self, "count_dist", counts.as_count_dist())
         object.__setattr__(self, "high_prob", float(high_prob))
         object.__setattr__(self, "cost_low", float(cost_low))
         object.__setattr__(self, "cost_high", float(cost_high))
-        if not self.count_dist:
-            raise ConfigError("count distribution must be nonempty")
-        ks = [k for k, _ in self.count_dist]
-        if any(k < 0 for k in ks) or len(set(ks)) != len(ks):
-            raise ConfigError(f"counts must be distinct nonnegative integers, got {ks}")
-        if any(p < 0 for _, p in self.count_dist):
-            raise ConfigError("count probabilities must be nonnegative")
-        total = math.fsum(p for _, p in self.count_dist)
-        if abs(total - 1.0) > _PROB_TOL:
-            raise ConfigError(f"count probabilities sum to {total}, expected 1")
         if not 0.0 <= self.high_prob <= 1.0:
             raise ConfigError(f"high_prob must lie in [0,1], got {self.high_prob}")
         if not 0 < self.cost_low < self.cost_high:
             raise ConfigError(
                 f"need 0 < cost_low < cost_high, got ({self.cost_low}, {self.cost_high})"
             )
-
-    @property
-    def max_count(self) -> int:
-        return max(k for k, _ in self.count_dist)
-
-    def mean_count(self) -> float:
-        return math.fsum(k * p for k, p in self.count_dist)
 
     def is_deterministic(self) -> bool:
         """True when the next arrival batch is a single certain outcome."""
@@ -178,7 +159,8 @@ def legal_actions(state: MdpState, budget: int) -> range:
 
 
 class StateSpace:
-    """Indexed enumeration with O(1) encode/decode, also vectorized."""
+    """Indexed enumeration with O(1) encode, also vectorized; ``states[i]``
+    is the state that encodes to ``i``."""
 
     def __init__(self, cap: int, budget: int, window: int = 5) -> None:
         self.cap = cap
@@ -205,9 +187,6 @@ class StateSpace:
         if not (0 <= state.w_low <= self.cap and 0 <= state.w_high <= self.cap):
             raise ConfigError(f"counts {state.w_low},{state.w_high} outside cap {self.cap}")
         return (state.w_low * (self.cap + 1) + state.w_high) * self.n_hist + hi
-
-    def decode(self, index: int) -> MdpState:
-        return self.states[index]
 
     def encode_arrays(
         self, w_low: np.ndarray, w_high: np.ndarray, hist: np.ndarray
@@ -242,25 +221,6 @@ def serve(
     return w_low - done_low, w_high - done_high, hist, done_low, done_high
 
 
-def reward(
-    state: MdpState,
-    action: int,
-    arrival_model: ArrivalModel,
-    budget: int | None = None,
-) -> float:
-    """Negated waiting cost after processing ``action`` requests, highs first."""
-    if action < 0:
-        raise IllegalAction(f"action {action} is negative")
-    if budget is not None and sum(state.history) + action > budget:
-        raise IllegalAction(
-            f"action {action} breaks budget {budget} with history {state.history}"
-        )
-    low_left, high_left, _, _, _ = serve(
-        np.int64(state.w_low), np.int64(state.w_high), np.empty(0, np.int64), np.int64(action)
-    )
-    return float(-(arrival_model.cost_high * high_left + arrival_model.cost_low * low_left))
-
-
 # =============================================================
 # Transitions
 # =============================================================
@@ -282,9 +242,15 @@ class TransitionTable:
     space: StateSpace
     by_action: tuple[ActionTransitions, ...]
 
+    def for_action(self, action: int) -> ActionTransitions:
+        """The rows of one action; IllegalAction outside 0..budget."""
+        if not 0 <= action < len(self.by_action):
+            raise IllegalAction(f"action {action} outside 0..{self.space.budget}")
+        return self.by_action[action]
+
     def transitions(self, index: int, action: int) -> list[tuple[int, float]]:
-        """Successor list for one (state, action); empty if illegal."""
-        at = self.by_action[action]
+        """Successor list for one (state, action); empty if illegal there."""
+        at = self.for_action(action)
         if not at.legal[index]:
             return []
         mask = at.src == index
@@ -378,7 +344,7 @@ class MdpModel:
         return self.table.transitions(index, action)
 
     def reward_of(self, index: int, action: int) -> float:
-        at = self.table.by_action[action]
+        at = self.table.for_action(action)
         if not at.legal[index]:
             raise IllegalAction(f"action {action} illegal in state {index}")
         return float(at.reward[index])
@@ -425,6 +391,12 @@ class Policy:
     def value_of(self, state: MdpState | int) -> float:
         idx = state if isinstance(state, int) else self.space.encode(state)
         return float(self.values[idx])
+
+    def take(self, w_low: np.ndarray, w_high: np.ndarray, hist: np.ndarray) -> np.ndarray:
+        """How many each count state processes: its action (counts clamped
+        to cap for the lookup), but no more than are waiting."""
+        action = self.actions[self.space.encode_arrays(w_low, w_high, hist)]
+        return np.minimum(action.astype(np.int64), w_low + w_high)
 
     @cached_property
     def constraints(self) -> ConstraintSet:
@@ -634,10 +606,7 @@ def queue_to_mdp_state(
 
 
 def optimal_select(
-    policy: Policy,
-    state: QueueState,
-    arrival_model: ArrivalModel,
-    cap: int | None = None,
+    policy: Policy, state: QueueState, arrival_model: ArrivalModel
 ) -> tuple[ExitRequest, ...]:
     """Select per the solved policy: look up the action, take that many.
 
@@ -645,14 +614,9 @@ def optimal_select(
     absolute constraint the policy was solved for with two unit-stake cost
     classes matching the arrival model.
     """
-    space = policy.space
-    if cap is not None and cap != space.cap:
-        raise ModelMismatch(f"policy solved for cap {space.cap}, got {cap}")
     _validate_queue(policy, state, arrival_model)
-    mstate = queue_to_mdp_state(state, arrival_model, space.window, space.cap)
-    action = policy.action_of(mstate)
-    take = min(action, len(state.waiting))
-    return tuple(_by_cost_desc(state.waiting, "cost")[:take])
+    mstate = queue_to_mdp_state(state, arrival_model, policy.space.window, policy.space.cap)
+    return _prefix(_by_cost_desc(state.waiting, "cost"), policy.action_of(mstate))
 
 
 @dataclass(frozen=True)
@@ -704,8 +668,7 @@ def _payment_period(
     with the agent, row 1 without it. Arrivals broadcast over both rows.
     """
     w_low, w_high, hist, active, ahead = branches
-    idx = policy.space.encode_arrays(w_low, w_high, hist)
-    action = np.minimum(policy.actions[idx].astype(np.int64), w_low + w_high)
+    action = policy.take(w_low, w_high, hist)
     served = active & (action > ahead)
     ahead = np.where(active & ~served, np.maximum(ahead - action, 0), ahead)
     active = active & ~served
@@ -794,8 +757,7 @@ def vcg_estimate(
         np.where(without, 0, ahead0),
     )
 
-    ks = np.asarray([k for k, _ in arrival_model.count_dist], dtype=np.int64)
-    cdf = normalized_cdf([p for _, p in arrival_model.count_dist])
+    count_dist = Discrete(*zip(*arrival_model.count_dist))
     rng = np.random.default_rng(seed)
 
     acc = np.zeros((2, m), dtype=np.float64)
@@ -806,7 +768,7 @@ def vcg_estimate(
             without_agent = branches[0][1, 0], branches[1][1, 0]
             saturated = saturated or max(without_agent) > space.cap
         # A deterministic model draws its one certain batch.
-        counts = ks[draw_indices(rng, cdf, m)]
+        counts = count_dist.sample(rng, m)
         highs = rng.binomial(counts, arrival_model.high_prob)
         branches, others = _payment_period(
             policy, arrival_model, branches, counts, highs, agent_is_high, agent.cost
@@ -836,19 +798,3 @@ def vcg_estimate(
         samples=m,
         exact=exact,
     )
-
-
-def vcg_payment(
-    policy: Policy,
-    trajectory: Sequence[Sequence[ExitRequest]],
-    agent: ExitRequest,
-    arrival_model: ArrivalModel,
-    *,
-    samples: int = 10_000,
-    seed: int = 0,
-    horizon: int | None = None,
-) -> float:
-    """Nonnegative externality payment for one agent (see vcg_estimate)."""
-    return vcg_estimate(
-        policy, trajectory, agent, arrival_model, samples=samples, seed=seed, horizon=horizon
-    ).payment

@@ -503,11 +503,7 @@ def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
         highs[i] = np.bincount(periods.repeat(c)[is_high], minlength=n)
 
     mech = config.mechanism
-    if isinstance(mech, OptimalMechanism):
-        space = mech.policy.space
-        actions = mech.policy.actions.astype(np.int64)
-    else:
-        space = None
+    if not isinstance(mech, OptimalMechanism):
         lookup = np.asarray([mech.capacity(s) for s in range(budget + 1)], dtype=np.int64)
 
     w_low = np.zeros(m, dtype=np.int64)
@@ -524,9 +520,8 @@ def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
         most_low, most_high = int(w_low.max()), int(w_high.max())
         if most_low >= sums.shape[0] or most_high >= sums.shape[1]:
             sums = _class_sums(cost_lo, cost_hi, 2 * most_low + 1, 2 * most_high + 1)
-        if space is not None:
-            idx = space.encode_arrays(w_low, w_high, hist)
-            take = np.minimum(actions[idx], w_low + w_high)
+        if isinstance(mech, OptimalMechanism):
+            take = mech.policy.take(w_low, w_high, hist)
         else:
             slack = budget - hist.sum(axis=1)
             take = np.minimum(lookup[slack], w_low + w_high)

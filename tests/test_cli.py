@@ -13,11 +13,13 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from exitqueue import cli
 from exitqueue.cli import HISTOGRAM_HEADER, SIMULATE_HEADER, load_experiment, main
 from exitqueue.errors import NonConvergence
+from exitqueue.mdp import action_values, load_policy
 
 BASE = """\
 [experiment]
@@ -164,11 +166,12 @@ def test_load_experiment_rejects_keys_it_does_not_read(tmp_path, old, new, named
         ),
         ("mode = absolute", "mode = fractional", "[constraints] mode"),
         ("constant_sort = fcfs", "constant_sort = lifo", "[mechanisms] constant_sort"),
+        ("[arrivals]\ncounts = 0:0.5, 1:0.4, 5:0.1\n", "", "is missing section 'arrivals'"),
     ],
     ids=["missing-steps", "zero-denominator", "infinite-uniform", "steady-state-discount",
          "unknown-metric", "discounted-without-discount", "steady-state-policy",
          "infinite-tolerance", "nan-tolerance", "pareto-without-scale", "unknown-mode",
-         "unknown-constant-sort"],
+         "unknown-constant-sort", "missing-arrivals"],
 )
 def test_load_experiment_names_the_bad_field(tmp_path, capsys, old, new, named) -> None:
     from exitqueue.errors import ConfigError
@@ -177,7 +180,8 @@ def test_load_experiment_names_the_bad_field(tmp_path, capsys, old, new, named) 
     with pytest.raises(ConfigError, match=re.escape(named)):
         load_experiment(cfg)
     assert main(["simulate", "--config", str(cfg)]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and named in err[0]
 
 
 @pytest.mark.parametrize(
@@ -382,6 +386,30 @@ def test_cached_policy_for_other_costs_is_a_model_mismatch(tmp_path) -> None:
     assert cache.read_bytes() == before
 
 
+def test_cached_policy_with_a_non_greedy_action_is_a_model_mismatch(tmp_path, capsys) -> None:
+    # The values stay a Bellman fixed point; one action is the runner-up of
+    # a state whose best action leads it by far more than the tolerance.
+    text = BASE.replace("list = minslack, prio-minslack, alpha-minslack, constant",
+                        "list = optimal")
+    cfg = _config(tmp_path, text, "opt.cfg")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    cache = tmp_path / "policies" / "tiny.policy"
+    q = action_values(cli._model(load_experiment(cfg)), load_policy(cache).values)
+    ordered = np.sort(q, axis=1)
+    lead = np.where(np.isfinite(ordered[:, -2]), ordered[:, -1] - ordered[:, -2], -np.inf)
+    index = int(np.argmax(lead))
+    assert lead[index] > 1e3 * 1e-9
+    lines = cache.read_text(encoding="ascii").splitlines()
+    cells = lines[3 + index].split(",")
+    cells[-2] = str(int(np.argsort(q[index])[-2]))
+    lines[3 + index] = ",".join(cells)
+    cache.write_text("\n".join(lines) + "\n", encoding="ascii")
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"model mismatch: cached policy {cache}")
+
+
 # =============================================================
 # solve
 # =============================================================
@@ -481,6 +509,27 @@ def test_policy_diff_reports_structure(tmp_path, capsys) -> None:
     assert listed == big
 
 
+def test_policy_diff_lists_the_states_far_from_greedy(tmp_path, capsys) -> None:
+    # Budget 3 over 4 periods at cap 5: one state's optimal action is two
+    # below greedy slack filling.
+    text = BASE.replace("windows = 2:3", "windows = 3:4").replace("cap = 3", "cap = 5")
+    assert main(["solve", "--config", str(_config(tmp_path, text))]) == 0
+    capsys.readouterr()
+    policy_file = tmp_path / "policies" / "tiny.policy"
+    assert main(["policy-diff", str(policy_file)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert "diff=2: 1" in lines
+    idx = lines.index("states with |diff| >= 2:")
+    assert lines[idx + 1] == "index,w_low,w_high,h1,h2,h3,optimal,greedy"
+    rows = lines[idx + 2:]
+    assert len(rows) == 1
+    *state, optimal, greedy = rows[0].split(",")
+    # The policy row with that index holds the same state and action.
+    policy_row = policy_file.read_text(encoding="ascii").splitlines()[3 + int(state[0])]
+    assert policy_row.split(",")[:-1] == [*state, optimal]
+    assert int(greedy) - int(optimal) >= 2
+
+
 def test_policy_diff_bad_file_is_a_config_error(tmp_path, capsys) -> None:
     missing = tmp_path / "nope.policy"
     assert main(["policy-diff", str(missing)]) == 2
@@ -507,6 +556,21 @@ def test_policy_diff_bad_file_is_a_config_error(tmp_path, capsys) -> None:
         assert len(err) == 2 and all(str(policy) in e and repr(row) in e for e in err)
 
 
+def test_policy_diff_rejects_a_bad_state_header_or_row_width(tmp_path, capsys) -> None:
+    assert main(["solve", "--config", str(_config(tmp_path))]) == 0
+    lines = (tmp_path / "policies" / "tiny.policy").read_text(encoding="ascii").splitlines()
+    header = lines[2].replace(",action,", ",act,")
+    wide = lines[3].replace(",", ",0,", 1)
+    for bad, named in (([*lines[:2], header, *lines[3:]], "bad state header"),
+                       ([*lines[:3], wide, *lines[4:]], "malformed policy row")):
+        policy = tmp_path / "bad.policy"
+        policy.write_text("\n".join(bad) + "\n", encoding="ascii")
+        capsys.readouterr()
+        assert main(["policy-diff", str(policy)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and named in err[0]
+
+
 # =============================================================
 # verify and exit codes
 # =============================================================
@@ -517,6 +581,18 @@ def test_verify_reports_all_pass(capsys) -> None:
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 5
     assert all(ln.startswith("PASS ") for ln in lines)
+
+
+def test_verify_reports_a_failed_check(monkeypatch, capsys) -> None:
+    # A schedule that processes far more in period 1 than greedy slack
+    # filling ever does.
+    monkeypatch.setattr(cli, "brute_force_schedules", lambda reqs, cs, horizon: [(99,)])
+    assert main(["verify"]) == 5
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 5
+    assert [ln for ln in lines if not ln.startswith("PASS ")] == [
+        "FAIL greedy prefix dominance (100 instances) (case 0: dominated by (99,))"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -560,6 +636,13 @@ def test_malformed_ini_is_a_config_error(tmp_path) -> None:
     bad = tmp_path / "broken.cfg"
     bad.write_text("this is not ini at all\n", encoding="utf-8")
     assert main(["simulate", "--config", str(bad)]) == 2
+
+
+def test_optimal_without_policy_section_is_a_config_error(tmp_path, capsys) -> None:
+    text = BASE[: BASE.index("[policy]")].replace("list = minslack,", "list = optimal, minslack,")
+    assert main(["simulate", "--config", str(_config(tmp_path, text))]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: mechanism 'optimal' needs a [policy] section"]
 
 
 def test_unknown_mechanism_is_a_config_error(tmp_path) -> None:

@@ -30,7 +30,6 @@ from exitqueue.mdp import (
     optimal_select,
     policy_text,
     queue_to_mdp_state,
-    reward,
     save_policy,
     value_iteration,
 )
@@ -109,11 +108,14 @@ def test_arrival_model_validation() -> None:
         ArrivalModel(((0, 1.0),), 1.5, 1.0, 10.0)
     with pytest.raises(ConfigError):
         ArrivalModel(((0, 1.0),), 0.1, 10.0, 1.0)
+    # A fractional count is refused, not truncated to 1, and so is a count
+    # that is not finite.
+    for bad in (1.5, -1, math.inf, math.nan):
+        with pytest.raises(ConfigError, match=f"nonnegative integers, got {bad}"):
+            ArrivalModel(((bad, 0.5), (0, 0.5)), 0.4, 1.0, 10.0)
 
 
 def test_arrival_model_summaries() -> None:
-    assert FLAGSHIP.max_count == 5
-    assert FLAGSHIP.mean_count() == pytest.approx(0.9)
     assert FLAGSHIP.cost_class(1.0) == "low"
     assert FLAGSHIP.cost_class(10.0) == "high"
     with pytest.raises(ModelMismatch):
@@ -153,9 +155,8 @@ def test_legal_actions_examples() -> None:
 
 def test_encode_decode_bijection() -> None:
     space = StateSpace(3, 2, window=3)
-    for i, s in enumerate(space.states):
-        assert space.encode(s) == i
-        assert space.decode(i) == s
+    for i in range(space.n):
+        assert space.encode(space.states[i]) == i
     with pytest.raises(ConfigError):
         space.encode(MdpState(0, 0, (2, 2)))
     with pytest.raises(ConfigError):
@@ -183,14 +184,22 @@ def test_encode_arrays_matches_scalar_encode() -> None:
 
 
 def test_reward_examples() -> None:
-    assert reward(MdpState(10, 0, ()), 5, FLAGSHIP) == -5.0
-    assert reward(MdpState(0, 0, ()), 0, FLAGSHIP) == 0.0
+    model = build_model(FLAGSHIP, cap=10, budget=5, window=1)
+    space = model.space
+    assert model.reward_of(space.encode(MdpState(10, 0, ())), 5) == -5.0
+    assert model.reward_of(space.encode(MdpState(0, 0, ())), 0) == 0.0
     # Highs are cleared first: one high and one low gone, one low stays.
-    assert reward(MdpState(2, 1, ()), 2, FLAGSHIP) == -1.0
-    with pytest.raises(IllegalAction):
-        reward(MdpState(1, 1, ()), -1, FLAGSHIP)
-    with pytest.raises(IllegalAction):
-        reward(MdpState(1, 1, (2,)), 1, FLAGSHIP, budget=2)
+    assert model.reward_of(space.encode(MdpState(2, 1, ())), 2) == -1.0
+
+
+def test_model_accessors_reject_actions_outside_the_budget() -> None:
+    model = build_model(FLAGSHIP, cap=3, budget=2, window=2)
+    idx = model.space.encode(MdpState(1, 1, (0,)))
+    for action in (-1, 3):
+        with pytest.raises(IllegalAction, match=f"action {action} outside 0..2"):
+            model.reward_of(idx, action)
+        with pytest.raises(IllegalAction, match=f"action {action} outside 0..2"):
+            model.transitions(idx, action)
 
 
 def test_transition_rows_sum_to_one() -> None:
@@ -414,8 +423,6 @@ def test_optimal_select_validates_the_queue() -> None:
     heavy = _queue([ExitRequest("x", 1, 1.0, stake=2)], budget=2, window=2)
     with pytest.raises(ModelMismatch):
         optimal_select(policy, heavy, FLAGSHIP)
-    with pytest.raises(ModelMismatch):
-        optimal_select(policy, _queue([], budget=2, window=2), FLAGSHIP, cap=5)
 
 
 def test_optimal_mechanism_wrapper() -> None:

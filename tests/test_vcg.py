@@ -17,7 +17,6 @@ from exitqueue.mdp import (
     build_model,
     value_iteration,
     vcg_estimate,
-    vcg_payment,
 )
 
 QUIET = ArrivalModel(((0, 1.0),), 0.0, 1.0, 10.0)
@@ -80,7 +79,6 @@ def test_payment_is_clamped_nonnegative() -> None:
     agent = ExitRequest("solo", 1, 1.0)
     est = vcg_estimate(policy, [[agent]], agent, SPARSE, samples=300, seed=5)
     assert est.payment >= 0.0
-    assert vcg_payment(policy, [[agent]], agent, SPARSE, samples=300, seed=5) == est.payment
 
 
 def test_replay_traces_the_queue_to_the_agent() -> None:

@@ -228,7 +228,8 @@ def serve(
 
 @dataclass(frozen=True)
 class ActionTransitions:
-    """Sparse transition rows and rewards for one action."""
+    """Sparse transition rows and rewards for one action, one row per legal
+    state (``TransitionTable.by_action``)."""
 
     legal: np.ndarray  # bool (n,)
     src: np.ndarray  # int64 (nnz,) state indices, grouped by state
@@ -239,28 +240,66 @@ class ActionTransitions:
 
 @dataclass(frozen=True)
 class TransitionTable:
-    space: StateSpace
-    by_action: tuple[ActionTransitions, ...]
+    """Transitions stored per after-state: the queue an action leaves
+    behind, before arrivals, which is itself a state index.
 
-    def for_action(self, action: int) -> ActionTransitions:
-        """The rows of one action; IllegalAction outside 0..budget."""
-        if not 0 <= action < len(self.by_action):
+    Row ``row_src == u`` is the successor distribution of after-state ``u``;
+    every (state, action) pair that reaches ``u`` shares that row.
+    """
+
+    space: StateSpace
+    after: np.ndarray  # int64 (budget+1, n): after-state of (action, state), -1 if illegal
+    reward: np.ndarray  # float64 (budget+1, n): -inf where the action is illegal
+    row_src: np.ndarray  # int64 (nnz,) after-state indices, grouped and ascending
+    row_dst: np.ndarray  # int64 (nnz,)
+    row_prob: np.ndarray  # float64 (nnz,)
+
+    def after_states(self, action: int) -> np.ndarray:
+        """After-state per state of one action (-1 where illegal);
+        IllegalAction outside 0..budget."""
+        if not 0 <= action <= self.space.budget:
             raise IllegalAction(f"action {action} outside 0..{self.space.budget}")
-        return self.by_action[action]
+        return self.after[action]
 
     def transitions(self, index: int, action: int) -> list[tuple[int, float]]:
         """Successor list for one (state, action); empty if illegal there."""
-        at = self.for_action(action)
-        if not at.legal[index]:
+        u = self.after_states(action)[index]
+        if u < 0:
             return []
-        mask = at.src == index
-        return list(zip(at.dst[mask].tolist(), at.prob[mask].tolist()))
+        lo, hi = np.searchsorted(self.row_src, [u, u + 1])
+        return list(zip(self.row_dst[lo:hi].tolist(), self.row_prob[lo:hi].tolist()))
 
     def row_sums(self, action: int) -> np.ndarray:
         """Total outgoing probability per legal state for one action."""
-        at = self.by_action[action]
-        sums = np.bincount(at.src, weights=at.prob, minlength=self.space.n)
-        return sums[at.legal]
+        after = self.after_states(action)
+        sums = np.bincount(self.row_src, weights=self.row_prob, minlength=self.space.n)
+        return sums[after[after >= 0]]
+
+    @cached_property
+    def by_action(self) -> tuple[ActionTransitions, ...]:
+        """Every (state, action) row spelled out, one table per action: the
+        after-state rows copied to each pair that reaches them. Built on
+        first access for readers that want per-action rows; the solver
+        never builds it."""
+        starts = np.searchsorted(self.row_src, np.arange(self.space.n + 1))
+        view = []
+        for reward, after in zip(self.reward, self.after):
+            legal = after >= 0
+            src = np.flatnonzero(legal)
+            first = starts[after[src]]
+            sizes = starts[after[src] + 1] - first
+            # Position of each copied entry: its row's start plus its rank in the row.
+            pos = np.repeat(first - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+            view.append(
+                ActionTransitions(
+                    legal=legal,
+                    src=np.repeat(src, sizes),
+                    dst=self.row_dst[pos],
+                    prob=self.row_prob[pos],
+                    reward=np.where(legal, reward, 0.0),
+                )
+            )
+        return tuple(view)
 
 
 def _binomial_pmf(k: int, p: float) -> list[float]:
@@ -272,13 +311,17 @@ def _binomial_pmf(k: int, p: float) -> list[float]:
 def build_transitions(
     arrival_model: ArrivalModel, cap: int, budget: int, window: int = 5
 ) -> TransitionTable:
-    """Sparse (state, action) -> successor distribution table.
+    """Sparse transition table, one successor row per after-state.
 
-    After processing, each arrival count k (with probability P[Y=k]) splits
-    into j high-cost arrivals with Binomial(k, high_prob) weight; counts
-    saturate at cap and merged successors accumulate probability. Each
-    state's successors are listed in the order the outcomes (k, j) first
-    reach them, and merged probabilities are summed in that order.
+    Serving ``a`` from a state leaves an after-state (the counts left and
+    the shifted history), whose row is stored once however many (state,
+    action) pairs reach it. After processing, each arrival count k (with
+    probability P[Y=k]) splits into j high-cost arrivals with
+    Binomial(k, high_prob) weight; counts saturate at cap and merged
+    successors accumulate probability. Each row lists its successors in the
+    order the outcomes (k, j) first reach them, and merged probabilities are
+    summed in that order. The solver's backup reads each row once per sweep
+    and takes the best action per state, the smallest one on exact ties.
     """
     space = StateSpace(cap, budget, window)
     outcomes = [
@@ -294,34 +337,36 @@ def build_transitions(
     w_high = np.tile(np.repeat(counts, space.n_hist), cap + 1)
     hist = np.tile(hists, ((cap + 1) ** 2, 1))
 
-    by_action = []
+    after = np.full((budget + 1, space.n), -1, dtype=np.int64)
+    reward = np.full((budget + 1, space.n), -np.inf)
     for a in range(budget + 1):
-        legal = hist.sum(axis=1) + a <= budget
-        src = np.flatnonzero(legal)
+        src = np.flatnonzero(hist.sum(axis=1) + a <= budget)
         low_left, high_left, nxt_hist, _, _ = serve(
             w_low[src], w_high[src], hist[src], np.full(src.size, a, dtype=np.int64)
         )
-        rewards = np.zeros(space.n, dtype=np.float64)
-        rewards[src] = -(arrival_model.cost_high * high_left + arrival_model.cost_low * low_left)
-        dst = space.encode_arrays(
-            low_left[:, None] + lows, high_left[:, None] + highs, nxt_hist[:, None, :]
-        )
-        # Merge equal successors of a state: one key per (state, successor),
-        # kept in first-occurrence order and summed in outcome order.
-        key = (src[:, None] * space.n + dst).ravel()
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        merged = np.bincount(inverse, weights=np.tile(probs, src.size))
-        order = np.argsort(first)
-        by_action.append(
-            ActionTransitions(
-                legal=legal,
-                src=key[first[order]] // space.n,
-                dst=key[first[order]] % space.n,
-                prob=merged[order],
-                reward=rewards,
-            )
-        )
-    return TransitionTable(space=space, by_action=tuple(by_action))
+        reward[a, src] = -(arrival_model.cost_high * high_left + arrival_model.cost_low * low_left)
+        after[a, src] = space.encode_arrays(low_left, high_left, nxt_hist)
+
+    # An after-state is a state index, so its counts and history are those
+    # of the state it encodes.
+    u = np.unique(after[after >= 0])
+    dst = space.encode_arrays(
+        w_low[u][:, None] + lows, w_high[u][:, None] + highs, hist[u][:, None, :]
+    )
+    # Merge equal successors of an after-state: one key per (after-state,
+    # successor), kept in first-occurrence order and summed in outcome order.
+    key = (u[:, None] * space.n + dst).ravel()
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    merged = np.bincount(inverse, weights=np.tile(probs, u.size))
+    order = np.argsort(first)
+    return TransitionTable(
+        space=space,
+        after=after,
+        reward=reward,
+        row_src=key[first[order]] // space.n,
+        row_dst=key[first[order]] % space.n,
+        row_prob=merged[order],
+    )
 
 
 @dataclass(frozen=True)
@@ -344,10 +389,9 @@ class MdpModel:
         return self.table.transitions(index, action)
 
     def reward_of(self, index: int, action: int) -> float:
-        at = self.table.for_action(action)
-        if not at.legal[index]:
+        if self.table.after_states(action)[index] < 0:
             raise IllegalAction(f"action {action} illegal in state {index}")
-        return float(at.reward[index])
+        return float(self.table.reward[action, index])
 
 
 def build_model(
@@ -404,24 +448,18 @@ class Policy:
         return ConstraintSet([Constraint(self.space.budget, self.space.window)])
 
 
-def _sweep(
-    table: TransitionTable, discount: float, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Bellman backup; returns (new values, greedy actions).
+def _backup(table: TransitionTable, discount: float, values: np.ndarray) -> np.ndarray:
+    """One Bellman backup: Q-values, action-major with shape (budget+1, n),
+    -inf where the action is illegal.
 
-    Actions are scanned in ascending order with a strict improvement test,
-    so exact ties resolve to the smallest action.
+    Each after-state's expected next value is computed once, and every
+    (state, action) pair that reaches it reads that one number.
     """
-    n = table.space.n
-    best_v = np.full(n, -np.inf)
-    best_a = np.zeros(n, dtype=np.int8)
-    for a, at in enumerate(table.by_action):
-        ev = np.bincount(at.src, weights=at.prob * values[at.dst], minlength=n)
-        q = at.reward + discount * ev
-        better = at.legal & (q > best_v)
-        best_v[better] = q[better]
-        best_a[better] = a
-    return best_v, best_a
+    ev = np.bincount(
+        table.row_src, weights=table.row_prob * values[table.row_dst], minlength=table.space.n
+    )
+    # Illegal pairs index ev[-1]; their -inf reward keeps Q at -inf.
+    return table.reward + discount * ev[table.after]
 
 
 def value_iteration(
@@ -444,7 +482,7 @@ def value_iteration(
     values = np.zeros(model.space.n, dtype=np.float64)
     diffs: list[float] = []
     for _ in range(max_iterations):
-        new_values, _ = _sweep(model.table, gamma, values)
+        new_values = _backup(model.table, gamma, values).max(axis=0)
         diff = float(np.max(np.abs(new_values - values)))
         diffs.append(diff)
         values = new_values
@@ -456,8 +494,10 @@ def value_iteration(
             f"in {max_iterations} sweeps (last diff {diffs[-1]:.3e})"
         )
 
-    check_values, actions = _sweep(model.table, gamma, values)
-    residual = float(np.max(np.abs(check_values - values)))
+    # argmax takes the first maximum: exact ties resolve to the smallest action.
+    q = _backup(model.table, gamma, values)
+    actions = np.argmax(q, axis=0).astype(np.int8)
+    residual = float(np.max(np.abs(q.max(axis=0) - values)))
     return Policy(
         space=model.space,
         discount=gamma,
@@ -470,13 +510,7 @@ def value_iteration(
 
 def action_values(model: MdpModel, values: np.ndarray) -> np.ndarray:
     """Q(s, a) matrix for a value vector; -inf marks illegal actions."""
-    n = model.space.n
-    q = np.full((n, model.space.budget + 1), -np.inf)
-    for a, at in enumerate(model.table.by_action):
-        ev = np.bincount(at.src, weights=at.prob * values[at.dst], minlength=n)
-        qa = at.reward + model.discount * ev
-        q[at.legal, a] = qa[at.legal]
-    return q
+    return _backup(model.table, model.discount, values).T
 
 
 # =============================================================

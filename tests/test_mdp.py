@@ -7,6 +7,7 @@ long enough that the truncation error is far below the comparison band.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from collections import defaultdict
@@ -200,13 +201,21 @@ def test_model_accessors_reject_actions_outside_the_budget() -> None:
             model.reward_of(idx, action)
         with pytest.raises(IllegalAction, match=f"action {action} outside 0..2"):
             model.transitions(idx, action)
+        with pytest.raises(IllegalAction, match=f"action {action} outside 0..2"):
+            model.table.row_sums(action)
 
 
 def test_transition_rows_sum_to_one() -> None:
     model = build_model(FLAGSHIP, cap=4, budget=2, window=3)
-    for a in range(3):
+    for a, at in enumerate(model.table.by_action):
         sums = model.table.row_sums(a)
         assert np.max(np.abs(sums - 1.0)) < 1e-12
+        # The per-action view spells out the same rows, in the same order.
+        full = np.bincount(at.src, weights=at.prob, minlength=model.space.n)
+        assert np.array_equal(full[at.legal], sums)
+        for idx in range(model.space.n):
+            mine = at.src == idx
+            assert model.transitions(idx, a) == list(zip(at.dst[mine].tolist(), at.prob[mine].tolist()))
 
 
 def test_transitions_without_arrivals_are_deterministic() -> None:
@@ -286,6 +295,97 @@ def test_action_values_bound_the_policy() -> None:
         for a in range(model.space.budget + 1):
             legal = a in legal_actions(s, model.space.budget)
             assert np.isfinite(q[idx, a]) == legal
+
+
+# Each shape: arrival model, cap, budget, window, discount; then the sweep
+# count, and SHA-256 prefixes of values.tobytes() + actions.tobytes() and of
+# the sweep differences followed by the residual. The quiet models and
+# window 1 (every action that empties the queue leaves the same state) hold
+# exact ties, which resolve to the smallest action.
+_QUIET = ArrivalModel(((0, 1.0),), 0.0, 1.0, 10.0)
+_LOWS_ONLY = ArrivalModel(((0, 0.5), (1, 0.4), (5, 0.1)), 0.0, 1.0, 10.0)
+_HIGHS_ONLY = ArrivalModel(((0, 0.5), (1, 0.4), (5, 0.1)), 1.0, 1.0, 10.0)
+_ONE_EACH = ArrivalModel(((1, 1.0),), 0.5, 1.0, 3.0)
+_WIDE = ArrivalModel(((0, 0.2), (2, 0.5), (3, 0.3)), 0.3, 2.0, 5.0)
+_TWO_HIGHS = ArrivalModel(((2, 1.0),), 1.0, 1.0, 10.0)
+_SOLVER_PINS = [
+    (FLAGSHIP, 3, 2, 3, 0.9, 203, "62c77e13ad551eca", "79ff7919a9f38d31"),
+    (FLAGSHIP, 4, 2, 1, 0.9, 188, "bcd0625f98c3cf51", "045e1db77e88c970"),
+    (FLAGSHIP, 5, 5, 1, 0.9, 8, "fe448d5e9f38caa9", "624f738a5636c3ca"),
+    (FLAGSHIP, 3, 0, 2, 0.9, 231, "5ae6bac6174389e1", "67642fcdd385455d"),
+    (FLAGSHIP, 6, 3, 4, 0.85, 136, "32c60ccbb9b03ff1", "ca41de7ec35ee7a2"),
+    (_QUIET, 3, 2, 2, 0.9, 6, "3ee70bdf9c1a0172", "d9ab3a16545ccd8f"),
+    (_QUIET, 4, 3, 1, 0.95, 3, "a4e0eb69585c7031", "e5912f7a79c70037"),
+    (_LOWS_ONLY, 4, 2, 3, 0.9, 203, "ece7687ed28c882b", "bed8e9dbca359707"),
+    (_HIGHS_ONLY, 4, 2, 3, 0.9, 225, "c12a2e2dc1d8d3fc", "d48922ab6f438860"),
+    (_ONE_EACH, 3, 1, 2, 0.9, 216, "fb1db57505a14ad7", "f03275b8885c5dde"),
+    (_WIDE, 5, 3, 2, 0.95, 443, "71fa50fe6bc02fc0", "d7913a4ceafdf5ff"),
+    (_TWO_HIGHS, 3, 2, 2, 0.9, 231, "8ae2a5028c883544", "7e0c2b858ddba6ce"),
+]
+
+
+def _shape_id(shape) -> str:
+    arrivals, cap, budget, window, gamma = shape[:5]
+    top = max(k for k, _ in arrivals.count_dist)
+    return f"k{top}-q{arrivals.high_prob}-cap{cap}-budget{budget}-window{window}-{gamma}"
+
+
+@pytest.mark.parametrize("shape", _SOLVER_PINS, ids=_shape_id)
+def test_solver_is_pinned_bit_for_bit(shape) -> None:
+    arrivals, cap, budget, window, gamma, sweeps, solved, diffs = shape
+    policy = value_iteration(build_model(arrivals, cap, budget, window, gamma))
+    info = policy.info
+    assert info.iterations == sweeps
+    digest = hashlib.sha256(policy.values.tobytes() + policy.actions.tobytes()).hexdigest()
+    assert digest[:16] == solved
+    trail = np.asarray(info.sweep_diffs + (info.residual,)).tobytes()
+    assert hashlib.sha256(trail).hexdigest()[:16] == diffs
+
+
+def _greedy(space) -> np.ndarray:
+    """Slack filling: process min(slack, waiting) in every state."""
+    return np.asarray(
+        [min(space.budget - sum(s.history), s.w_low + s.w_high) for s in space.states]
+    )
+
+
+@pytest.mark.parametrize("high_prob", [0.0, 1.0])
+def test_homogeneous_stakers_are_served_greedily(high_prob) -> None:
+    # With one cost class, MINSLACK (process all the slack allows) is
+    # optimal. Only states below cap count: at cap the model drops arrivals,
+    # so withholding there sheds queue cost the real queue would pay.
+    arrivals = ArrivalModel(((0, 0.5), (1, 0.4), (5, 0.1)), high_prob, 1.0, 10.0)
+    for cap, gamma in itertools.product((6, 10), (0.85, 0.95)):
+        model = build_model(arrivals, cap, budget=3, window=3, discount=gamma)
+        policy = value_iteration(model, tolerance=1e-9)
+        space = model.space
+        q = action_values(model, policy.values)
+        greedy = _greedy(space)
+        waiting = np.asarray([s.w_high if high_prob else s.w_low for s in space.states])
+        other = np.asarray([s.w_low if high_prob else s.w_high for s in space.states])
+        single = (other == 0) & (waiting < cap)
+        # The values lie within discount * tolerance / (1 - discount) of the
+        # optimum, and each Q-value within that of its own optimum, so a gap
+        # up to twice the bound may be a tie.
+        gap = q.max(axis=1) - q[np.arange(space.n), greedy]
+        tie = gap <= 2 * gamma * 1e-9 / (1 - gamma)
+        off = single & (policy.actions != greedy) & ~tie
+        assert not off.any(), [space.states[i] for i in np.flatnonzero(off)]
+
+
+def test_heterogeneous_policy_reserves_capacity() -> None:
+    # The flagship (gamma90) model: some state with only lows waiting, below
+    # cap, processes fewer than the slack allows, and strictly prefers to.
+    model = build_model(FLAGSHIP, cap=10, budget=5, window=5, discount=0.9)
+    policy = value_iteration(model, tolerance=1e-9)
+    space = model.space
+    q = action_values(model, policy.values)
+    greedy = _greedy(space)
+    lows_only = np.asarray([s.w_high == 0 and s.w_low < space.cap for s in space.states])
+    reserve = np.flatnonzero(lows_only & (policy.actions < greedy))
+    assert reserve.size > 0
+    gain = q[reserve, policy.actions[reserve]] - q[reserve, greedy[reserve]]
+    assert gain.min() > 2 * 0.9 * 1e-9 / (1 - 0.9)
 
 
 def test_solver_rejects_bad_tolerance_and_budgeted_iterations() -> None:

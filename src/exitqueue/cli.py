@@ -62,10 +62,9 @@ from .mdp import (
     MdpModel,
     OptimalMechanism,
     Policy,
+    StateSpace,
     action_values,
     build_model,
-    enumerate_states,
-    legal_actions,
     load_policy,
     policy_text,
     save_policy,
@@ -503,33 +502,26 @@ def cmd_histogram(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def prio_action(state, budget: int) -> int:
-    """The greedy slack-filling action for a decision state."""
-    return min(budget - sum(state.history), state.w_low + state.w_high)
-
-
 def cmd_policy_diff(args: argparse.Namespace) -> int:
     if args.policy is None:
         raise ConfigError("policy-diff needs a policy file path")
     policy = load_policy(args.policy)
     space = policy.space
-    diffs: dict[int, int] = {}
-    big: list[str] = []
-    hcols = [f"h{j + 1}" for j in range(space.window - 1)]
-    for idx, s in enumerate(space.states):
-        d = prio_action(s, space.budget) - int(policy.actions[idx])
-        diffs[d] = diffs.get(d, 0) + 1
-        if abs(d) >= 2:
-            cells = [str(idx), str(s.w_low), str(s.w_high), *(str(h) for h in s.history)]
-            cells.append(str(int(policy.actions[idx])))
-            cells.append(str(prio_action(s, space.budget)))
-            big.append(",".join(cells))
+    # Greedy slack filling: process all the slack allows, up to the queue.
+    greedy = np.minimum(space.slack[space.hist], space.w_low + space.w_high)
+    diff = greedy - policy.actions
     lines = [f"states: {space.n}"]
-    for d in sorted(diffs):
-        lines.append(f"diff={d}: {diffs[d]}")
+    for d, count in zip(*(c.tolist() for c in np.unique(diff, return_counts=True))):
+        lines.append(f"diff={d}: {count}")
     lines.append("states with |diff| >= 2:")
+    hcols = [f"h{j + 1}" for j in range(space.window - 1)]
     lines.append(",".join(["index", "w_low", "w_high", *hcols, "optimal", "greedy"]))
-    lines.extend(big)
+    big = np.flatnonzero(np.abs(diff) >= 2)
+    table = np.column_stack([
+        big, space.w_low[big], space.w_high[big], space.digits[space.hist[big]],
+        policy.actions[big], greedy[big],
+    ])
+    lines.extend(",".join(map(str, row)) for row in table.tolist())
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -537,7 +529,7 @@ def cmd_policy_diff(args: argparse.Namespace) -> int:
 def _verify_checks() -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
 
-    n = len(enumerate_states(10, 5))
+    n = StateSpace(10, 5).n
     checks.append(("state count (cap 10, budget 5)", n == 15246, f"got {n}"))
 
     amap = [alpha_capacity(Fraction(9, 10), s) for s in range(6)]
@@ -557,9 +549,7 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
     checks.append(("transition rows sum to 1", sums_ok, ""))
 
     policy = value_iteration(model, tolerance=1e-9)
-    legal_ok = all(
-        int(policy.actions[i]) in legal_actions(s, 2) for i, s in enumerate(model.space.states)
-    )
+    legal_ok = bool(np.all(policy.actions <= model.space.slack[model.space.hist]))
     checks.append(("solved actions are legal", legal_ok, ""))
 
     rng = np.random.default_rng(7)
@@ -673,7 +663,3 @@ def main(argv: list[str] | None = None) -> int:
     except ExitQueueError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

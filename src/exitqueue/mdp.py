@@ -15,7 +15,8 @@ State conventions:
     and clamps only when looking up the policy).
   * ``history[j]`` is the number processed j+1 periods ago; legal actions
     satisfy sum(history) + a <= budget, which is exactly the sliding-window
-    slack of the (budget, window) constraint.
+    slack of the (budget, window) constraint. Arrays carry a history as
+    one index into ``StateSpace.digits``.
   * Rewards are nonpositive: the negated waiting cost of whatever remains
     after the action, removing highest-cost requests first.
 """
@@ -23,11 +24,10 @@ State conventions:
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -55,7 +55,6 @@ __all__ = [
     "ArrivalModel",
     "StateSpace",
     "enumerate_states",
-    "legal_actions",
     "build_transitions",
     "TransitionTable",
     "MdpModel",
@@ -127,98 +126,102 @@ class ArrivalModel:
 # =============================================================
 
 
-def _history_tuples(budget: int, length: int) -> list[tuple[int, ...]]:
-    if length == 0:
-        return [()]
-    return [
-        h
-        for h in itertools.product(range(budget + 1), repeat=length)
-        if sum(h) <= budget
-    ]
-
-
-def enumerate_states(cap: int, budget: int, window: int = 5) -> list[MdpState]:
-    """All states, lexicographic in (w_low, w_high, history).
-
-    The history holds the last window-1 processed totals.
-    """
+def _state_count(cap: int, budget: int, window: int) -> int:
+    """(cap+1)^2 count pairs times C(budget+window-1, window-1) histories;
+    ConfigError for parameters that describe no state space."""
     if cap < 0 or budget < 0 or window < 1:
         raise ConfigError(f"bad state-space parameters cap={cap} budget={budget} window={window}")
-    hists = _history_tuples(budget, window - 1)
-    return [
-        MdpState(w_low, w_high, h)
-        for w_low in range(cap + 1)
-        for w_high in range(cap + 1)
-        for h in hists
-    ]
+    return (cap + 1) ** 2 * math.comb(budget + window - 1, window - 1)
 
 
-def legal_actions(state: MdpState, budget: int) -> range:
-    """Actions that keep the processed window within budget."""
-    return range(0, budget - sum(state.history) + 1)
+def _histories(budget: int, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every history of ``length`` digits summing to at most ``budget``, in
+    lexicographic order, with each one's slack and the push table of
+    ``StateSpace``. Each pass puts a digit a before every shorter history q
+    whose slack is at least a, in (a, q) order, at a cost of what it builds.
+    Pushing a onto such an h gives a before h less its oldest digit: the
+    shorter table's push of h's first digit onto h's suffix.
+    """
+    digits = np.zeros((1, 0), dtype=np.int64)
+    slack = np.array([budget], dtype=np.int64)
+    push = np.zeros((1, budget + 1), dtype=np.int64)  # the empty history stays empty
+    for _ in range(length):
+        fits = slack >= np.arange(budget + 1)[:, None]  # fits[a, q]: a may precede q
+        index = np.where(fits, np.cumsum(fits).reshape(fits.shape) - 1, -1)
+        first, suffix = np.nonzero(fits)
+        digits = np.column_stack([first, digits[suffix]])
+        slack = slack[suffix] - first
+        push = index[:, push[suffix, first]].T
+    return digits, slack, push
 
 
 class StateSpace:
-    """Indexed enumeration with O(1) encode, also vectorized; ``states[i]``
-    is the state that encodes to ``i``."""
+    """The states of a (cap, budget, window) model, lexicographic in
+    (w_low, w_high, history). State i has counts ``w_low[i]``, ``w_high[i]``
+    and history ``hist[i]``, and encodes as ``(w_low*(cap+1) + w_high)*n_hist + hist``.
+
+    A history is an index into ``digits``, whose row h holds the last
+    window-1 processed totals, most recent first. ``slack[h]`` bounds this
+    period's action, and ``push[h, a]`` is the history after it: ``a``
+    enters and the oldest total leaves (-1 if that exceeds the budget).
+    """
 
     def __init__(self, cap: int, budget: int, window: int = 5) -> None:
+        self.n = _state_count(cap, budget, window)
         self.cap = cap
         self.budget = budget
         self.window = window
-        self.states = enumerate_states(cap, budget, window)
-        self.n = len(self.states)
-        self._hists = _history_tuples(budget, window - 1)
-        self.n_hist = len(self._hists)
-        self._hist_index = {h: i for i, h in enumerate(self._hists)}
-        # Radix lookup: history digits base (budget+1) -> enumeration index.
-        hlen = window - 1
-        self._radix = np.full((budget + 1) ** hlen, -1, dtype=np.int64)
-        for h, i in self._hist_index.items():
-            code = 0
-            for d in h:
-                code = code * (budget + 1) + d
-            self._radix[code] = i
+        self.digits, self.slack, self.push = _histories(budget, window - 1)
+        self.n_hist = self.slack.size
+        pairs, self.hist = np.divmod(np.arange(self.n), self.n_hist)
+        self.w_low, self.w_high = np.divmod(pairs, cap + 1)
+
+    @cached_property
+    def states(self) -> list[MdpState]:
+        """Every state as a tuple; ``states[i]`` is the state that encodes to ``i``."""
+        hists = [tuple(d) for d in self.digits.tolist()]
+        counts = zip(self.w_low.tolist(), self.w_high.tolist(), self.hist.tolist())
+        return [MdpState(w_low, w_high, hists[h]) for w_low, w_high, h in counts]
+
+    def history_index(self, history: Sequence[int]) -> int:
+        """Index of a window history, most recent total first: the empty
+        window with each total pushed, oldest first."""
+        h = 0 if len(history) == self.window - 1 else -1
+        for d in reversed(history):
+            h = int(self.push[h, d]) if h >= 0 and 0 <= d <= self.budget else -1
+        if h < 0:
+            raise ConfigError(f"history {history} outside budget {self.budget}")
+        return h
 
     def encode(self, state: MdpState) -> int:
-        hi = self._hist_index.get(tuple(state.history))
-        if hi is None:
-            raise ConfigError(f"history {state.history} outside budget {self.budget}")
+        h = self.history_index(state.history)
         if not (0 <= state.w_low <= self.cap and 0 <= state.w_high <= self.cap):
             raise ConfigError(f"counts {state.w_low},{state.w_high} outside cap {self.cap}")
-        return (state.w_low * (self.cap + 1) + state.w_high) * self.n_hist + hi
+        return (state.w_low * (self.cap + 1) + state.w_high) * self.n_hist + h
 
     def encode_arrays(
         self, w_low: np.ndarray, w_high: np.ndarray, hist: np.ndarray
     ) -> np.ndarray:
-        """Vectorized encode; counts are clamped to cap, histories exact."""
+        """Vectorized encode of counts, clamped to cap, and history indices."""
         wl = np.minimum(w_low, self.cap)
         wh = np.minimum(w_high, self.cap)
-        if hist.shape[-1] != self.window - 1:
-            raise ConfigError("history width does not match the window")
-        code = np.zeros(wl.shape, dtype=np.int64)
-        for j in range(self.window - 1):
-            code = code * (self.budget + 1) + hist[..., j]
-        hi = self._radix[code]
-        return (wl * (self.cap + 1) + wh) * self.n_hist + hi
+        return (wl * (self.cap + 1) + wh) * self.n_hist + hist
 
 
 def serve(
-    w_low: np.ndarray, w_high: np.ndarray, hist: np.ndarray, take: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The count dynamics of one period: serve ``take`` highs first, spill
-    the rest to lows, and push ``take`` onto the window history.
-
-    Works elementwise on any matching shapes; ``hist[..., j]`` is the total
-    processed j+1 periods ago. Returns the waiting counts left, the shifted
-    history, and the lows and highs served. Arrivals are the caller's to add,
-    and clamping at ``cap`` is left to ``StateSpace.encode_arrays``.
-    """
+    w_low: np.ndarray, w_high: np.ndarray, take: np.ndarray | int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One period's count update, elementwise: serve ``take`` highs first and
+    spill the rest to lows. Returns the waiting counts left and the lows and
+    highs served; callers push ``take`` onto a history with ``StateSpace.push``."""
     done_high = np.minimum(take, w_high)
     done_low = np.minimum(take - done_high, w_low)
-    if hist.shape[-1]:
-        hist = np.concatenate([np.expand_dims(take, -1), hist[..., :-1]], axis=-1)
-    return w_low - done_low, w_high - done_high, hist, done_low, done_high
+    return w_low - done_low, w_high - done_high, done_low, done_high
+
+
+def enumerate_states(cap: int, budget: int, window: int = 5) -> list[MdpState]:
+    """All states, lexicographic in (w_low, w_high, history): ``StateSpace.states``."""
+    return StateSpace(cap, budget, window).states
 
 
 # =============================================================
@@ -331,27 +334,19 @@ def build_transitions(
         for j, pj in enumerate(_binomial_pmf(k, arrival_model.high_prob))
     ]
     lows, highs, probs = map(np.asarray, zip(*[o for o in outcomes if o[2] != 0.0]))
-    counts = np.arange(cap + 1, dtype=np.int64)
-    hists = np.asarray(space._hists, dtype=np.int64).reshape(space.n_hist, window - 1)
-    w_low = np.repeat(counts, (cap + 1) * space.n_hist)
-    w_high = np.tile(np.repeat(counts, space.n_hist), cap + 1)
-    hist = np.tile(hists, ((cap + 1) ** 2, 1))
-
-    after = np.full((budget + 1, space.n), -1, dtype=np.int64)
-    reward = np.full((budget + 1, space.n), -np.inf)
-    for a in range(budget + 1):
-        src = np.flatnonzero(hist.sum(axis=1) + a <= budget)
-        low_left, high_left, nxt_hist, _, _ = serve(
-            w_low[src], w_high[src], hist[src], np.full(src.size, a, dtype=np.int64)
-        )
-        reward[a, src] = -(arrival_model.cost_high * high_left + arrival_model.cost_low * low_left)
-        after[a, src] = space.encode_arrays(low_left, high_left, nxt_hist)
+    a = np.arange(budget + 1)[:, None]  # row a serves a from every state
+    legal = a <= space.slack[space.hist]
+    low_left, high_left, _, _ = serve(space.w_low, space.w_high, a)
+    cost = arrival_model.cost_high * high_left + arrival_model.cost_low * low_left
+    reward = np.where(legal, -cost, -np.inf)
+    pushed = space.push[space.hist, a]
+    after = np.where(legal, space.encode_arrays(low_left, high_left, pushed), -1)
 
     # An after-state is a state index, so its counts and history are those
     # of the state it encodes.
     u = np.unique(after[after >= 0])
     dst = space.encode_arrays(
-        w_low[u][:, None] + lows, w_high[u][:, None] + highs, hist[u][:, None, :]
+        space.w_low[u][:, None] + lows, space.w_high[u][:, None] + highs, space.hist[u][:, None]
     )
     # Merge equal successors of an after-state: one key per (after-state,
     # successor), kept in first-occurrence order and summed in outcome order.
@@ -525,12 +520,12 @@ def policy_text(policy: Policy) -> str:
     lines = ["cap,budget,gamma,tolerance"]
     lines.append(f"{space.cap},{space.budget},{policy.discount!r},{policy.tolerance!r}")
     lines.append(",".join(["index", "w_low", "w_high", *hcols, "action", "value"]))
-    for idx, s in enumerate(space.states):
-        cells = [str(idx), str(s.w_low), str(s.w_high)]
-        cells.extend(str(h) for h in s.history)
-        cells.append(str(int(policy.actions[idx])))
-        cells.append(f"{policy.values[idx]:.12e}")
-        lines.append(",".join(cells))
+    hcells = ["".join(f"{d}," for d in row) for row in space.digits.tolist()]
+    columns = (space.w_low, space.w_high, space.hist, policy.actions, policy.values)
+    lines.extend(
+        f"{idx},{w_low},{w_high},{hcells[h]}{a},{value:.12e}"
+        for idx, (w_low, w_high, h, a, value) in enumerate(zip(*(c.tolist() for c in columns)))
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -555,8 +550,26 @@ def save_policy(policy: Policy, path) -> None:
             tmp.unlink()  # gone once it has replaced path
 
 
+def _policy_rows(rows: list[str], width: int, path) -> tuple[np.ndarray, np.ndarray]:
+    """The integer cells, a row per state row, and the values of a policy
+    file's state rows; ConfigError naming the first row that is not
+    ``width`` numbers, its integers within int64."""
+    try:
+        if any(row.count(",") != width - 1 for row in rows):
+            raise ValueError("wrong number of cells")
+        read = partial(np.loadtxt, rows, delimiter=",", comments=None, ndmin=2)
+        return read(dtype=np.int64, usecols=range(width - 1)), read(usecols=[width - 1])[:, 0]
+    except ValueError as exc:
+        if len(rows) == 1:
+            raise ConfigError(f"malformed policy row in {path}: {rows[0]!r}") from None
+        for row in rows:  # find the row at fault
+            _policy_rows([row], width, path)
+        raise ConfigError(f"malformed policy rows in {path}: {exc}") from None
+
+
 def load_policy(path) -> Policy:
-    """Read a policy file back; validates layout against the enumeration."""
+    """Read a policy file back, checking its exact headers, its row count
+    (before any space is built) and every row against the enumeration."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -569,41 +582,31 @@ def load_policy(path) -> Policy:
         cap, budget = int(cap_s), int(budget_s)
         gamma, tolerance = float(gamma_s), float(tol_s)
         state_header = lines[2].split(",")
-        hcols = [c for c in state_header if c.startswith("h")]
-        expected = ["index", "w_low", "w_high", *hcols, "action", "value"]
-        if state_header != expected:
+        window = len(state_header) - 4
+        hcols = [f"h{j + 1}" for j in range(window - 1)]
+        if state_header != ["index", "w_low", "w_high", *hcols, "action", "value"]:
             raise ConfigError(f"bad state header: {lines[2]!r}")
-        window = len(hcols) + 1
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"malformed policy file {path}: {exc}") from exc
 
+    rows = [r for r in lines[3:] if r]
+    n = _state_count(cap, budget, window)
+    if len(rows) != n:
+        raise ModelMismatch(f"policy file has {len(rows)} states, expected {n}")
+    cells, values = _policy_rows(rows, len(state_header), path)
+    # Rows may come in any order, but sorted by index they must be the states.
+    by_index = np.argsort(cells[:, 0], kind="stable")
+    cells, values, rows = cells[by_index], values[by_index], [rows[r] for r in by_index]
     space = StateSpace(cap, budget, window)
-    rows = lines[3:]
-    rows = [r for r in rows if r]
-    if len(rows) != space.n:
-        raise ModelMismatch(f"policy file has {len(rows)} states, expected {space.n}")
-    actions = np.zeros(space.n, dtype=np.int8)
-    values = np.zeros(space.n, dtype=np.float64)
-    seen = np.zeros(space.n, dtype=bool)
-    for row in rows:
-        try:
-            *cells, value = row.split(",")
-            if len(cells) + 1 != len(state_header):
-                raise ValueError
-            idx, w_low, w_high, *history, a = map(int, cells)
-            value = float(value)
-        except ValueError:
-            raise ConfigError(f"malformed policy row in {path}: {row!r}") from None
-        s = MdpState(w_low, w_high, tuple(history))
-        if not 0 <= idx < space.n or space.states[idx] != s:
-            raise ModelMismatch(f"row {idx} does not match the state enumeration: {row!r}")
-        if seen[idx]:
-            raise ModelMismatch(f"duplicate policy row for state {idx}")
-        seen[idx] = True
-        if a not in legal_actions(s, budget):
-            raise ModelMismatch(f"illegal action {a} for state {s}")
-        actions[idx] = a
-        values[idx] = value
+    states = np.column_stack([np.arange(n), space.w_low, space.w_high, space.digits[space.hist]])
+    wrong = np.flatnonzero(np.any(cells[:, :-1] != states, axis=1))
+    if wrong.size:
+        raise ModelMismatch(f"row for state {wrong[0]} is missing or wrong: {rows[wrong[0]]!r}")
+    actions = cells[:, -1]
+    illegal = np.flatnonzero((actions < 0) | (actions > space.slack[space.hist]))
+    if illegal.size:
+        raise ModelMismatch(f"illegal action {actions[illegal[0]]} in row {rows[illegal[0]]!r}")
+    actions = actions.astype(np.int8)
     return Policy(space=space, discount=gamma, tolerance=tolerance, actions=actions, values=values)
 
 
@@ -697,16 +700,17 @@ def _payment_period(
     """One period of both payment rollouts; returns them after it and the
     others' waiting cost.
 
-    ``branches`` is (w_low, w_high, hist, agent waiting, requests ahead of
-    the agent), each with a row per branch and a column per sample: row 0
-    with the agent, row 1 without it. Arrivals broadcast over both rows.
+    ``branches`` is (w_low, w_high, history index, agent waiting, requests
+    ahead of the agent), each with a row per branch and a column per sample:
+    row 0 with the agent, row 1 without it. Arrivals broadcast over both rows.
     """
     w_low, w_high, hist, active, ahead = branches
     action = policy.take(w_low, w_high, hist)
     served = active & (action > ahead)
     ahead = np.where(active & ~served, np.maximum(ahead - action, 0), ahead)
     active = active & ~served
-    w_low, w_high, hist, _, _ = serve(w_low, w_high, hist, action)
+    hist = policy.space.push[hist, action]
+    w_low, w_high, _, _ = serve(w_low, w_high, action)
     others = model.cost_low * w_low + model.cost_high * w_high - np.where(active, agent_cost, 0.0)
     # New arrivals; future high arrivals outrank a still-waiting low agent.
     if not agent_is_high:
@@ -786,7 +790,7 @@ def vcg_estimate(
     branches = (
         np.where(without, absent.w_low, w_low0),
         np.where(without, absent.w_high, w_high0),
-        np.tile(np.asarray(hist0, dtype=np.int64), (2, m, 1)),
+        np.full((2, m), space.history_index(hist0)),
         ~without,
         np.where(without, 0, ahead0),
     )

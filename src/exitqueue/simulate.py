@@ -508,7 +508,7 @@ def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
 
     w_low = np.zeros(m, dtype=np.int64)
     w_high = np.zeros(m, dtype=np.int64)
-    hist = np.zeros((m, window - 1), dtype=np.int64)
+    hist = np.zeros(m, dtype=np.int64)  # history 0: nothing processed yet
     streams = np.empty((m, n), dtype=np.float64)
     cum = np.zeros((m, n + 1), dtype=np.int64)
 
@@ -522,10 +522,12 @@ def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
             sums = _class_sums(cost_lo, cost_hi, 2 * most_low + 1, 2 * most_high + 1)
         if isinstance(mech, OptimalMechanism):
             take = mech.policy.take(w_low, w_high, hist)
+            hist = mech.policy.space.push[hist, take]
         else:
-            slack = budget - hist.sum(axis=1)
+            # The window holds what periods t-window+1 .. t-1 processed.
+            slack = budget - (cum[:, t] - cum[:, max(t - window + 1, 0)])
             take = np.minimum(lookup[slack], w_low + w_high)
-        w_low, w_high, hist, done_low, done_high = serve(w_low, w_high, hist, take)
+        w_low, w_high, done_low, done_high = serve(w_low, w_high, take)
         streams[:, t] = -sums[w_low, w_high] - sums[done_low, done_high]
         np.add(cum[:, t], take, out=cum[:, t + 1])
         if t + 1 < n:

@@ -9,8 +9,11 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -583,6 +586,16 @@ def test_verify_reports_all_pass(capsys) -> None:
     assert all(ln.startswith("PASS ") for ln in lines)
 
 
+def test_python_dash_m_runs_verify_from_the_source_tree() -> None:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "exitqueue", "verify"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 5 and all(ln.startswith("PASS ") for ln in lines)
+
+
 def test_verify_reports_a_failed_check(monkeypatch, capsys) -> None:
     # A schedule that processes far more in period 1 than greedy slack
     # filling ever does.
@@ -714,6 +727,27 @@ def test_bundled_outputs_match_pinned_hashes(tmp_path, capsys) -> None:
     out = run("histogram", "--config", str(configs / "tail_histogram.cfg"), "--trials", "200")
     digests["histogram tail_histogram"] = hashlib.sha256(out).hexdigest()
     assert digests == OUTPUT_SHA256
+
+
+# SHA-256 of what `policy-diff` writes for the solved gamma90 policy and for
+# the window-4 policy of test_policy_diff_lists_the_states_far_from_greedy.
+POLICY_DIFF_SHA256 = {
+    "gamma90": "7232378975546e0cd36d4ea17e9e9c9bdc955967cc5f5603ac55d9276af25a38",
+    "tiny window 4": "18708e6500d5918a49e1c4775443b38d9930fce8f6c0b6b2e7db9a22f1e631f3",
+}
+
+
+def test_policy_diff_output_matches_pinned_hashes(tmp_path, capsys) -> None:
+    gamma90 = tmp_path / "gamma90.cfg"
+    shutil.copy(CONFIGS / "gamma90.cfg", gamma90)
+    tiny = BASE.replace("windows = 2:3", "windows = 3:4").replace("cap = 3", "cap = 5")
+    digests = {}
+    for name, cfg in (("gamma90", gamma90), ("tiny window 4", _config(tmp_path, tiny))):
+        assert main(["solve", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["policy-diff", str(load_experiment(cfg).policy.path)]) == 0
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digests == POLICY_DIFF_SHA256
 
 
 # =============================================================

@@ -10,11 +10,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
+import time
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from exitqueue import mdp
 from exitqueue.core import Constraint, ConstraintMode, ConstraintSet, ExitRequest, QueueState
 from exitqueue.errors import ConfigError, IllegalAction, ModelMismatch
 from exitqueue.mdp import (
@@ -26,7 +29,6 @@ from exitqueue.mdp import (
     action_values,
     build_model,
     enumerate_states,
-    legal_actions,
     load_policy,
     optimal_select,
     policy_text,
@@ -148,10 +150,47 @@ def test_enumeration_rejects_bad_parameters() -> None:
         enumerate_states(3, 2, window=0)
 
 
-def test_legal_actions_examples() -> None:
-    assert list(legal_actions(MdpState(0, 0, (0, 0, 0, 0)), 5)) == [0, 1, 2, 3, 4, 5]
-    assert list(legal_actions(MdpState(3, 3, (5, 0, 0, 0)), 5)) == [0]
-    assert list(legal_actions(MdpState(3, 3, (2, 1, 0, 0)), 5)) == [0, 1, 2]
+def test_slack_examples() -> None:
+    space = StateSpace(3, 5, window=5)
+    assert space.slack[space.history_index((0, 0, 0, 0))] == 5
+    assert space.slack[space.history_index((5, 0, 0, 0))] == 0
+    assert space.slack[space.history_index((2, 1, 0, 0))] == 2
+
+
+@pytest.mark.parametrize("budget", range(4))
+@pytest.mark.parametrize("window", range(1, 6))
+def test_histories_match_a_literal_enumeration(budget, window) -> None:
+    # Window 1 keeps no history: one empty one.
+    literal = [
+        h for h in itertools.product(range(budget + 1), repeat=window - 1) if sum(h) <= budget
+    ]
+    space = StateSpace(2, budget, window)
+    assert [tuple(d) for d in space.digits.tolist()] == literal
+    assert space.slack.tolist() == [budget - sum(h) for h in literal]
+    # Pushing a onto history h drops its oldest total; -1 past the budget.
+    for h, d in enumerate(literal):
+        for a in range(budget + 1):
+            pushed = ((a,) + d)[: window - 1]
+            assert space.push[h, a] == (literal.index(pushed) if pushed in literal else -1)
+    states = [
+        MdpState(w_low, w_high, h) for w_low in range(3) for w_high in range(3) for h in literal
+    ]
+    assert space.states == states
+    assert space.n == len(states) == 9 * math.comb(budget + window - 1, window - 1)
+
+
+def test_long_window_space_builds_encodes_and_solves() -> None:
+    # 2^40 histories of 40 digits, of which 41 fit a budget of 1.
+    t0 = time.perf_counter()
+    space = StateSpace(2, 1, 41)
+    assert time.perf_counter() - t0 < 1.0
+    assert space.n == 9 * 41
+    assert [space.encode(s) for s in space.states] == list(range(space.n))
+    model = build_model(FLAGSHIP, cap=2, budget=1, window=41, discount=0.9)
+    policy = value_iteration(model, tolerance=1e-9)
+    q = action_values(model, policy.values)
+    assert np.allclose(q.max(axis=1), policy.values, atol=1e-8)
+    assert np.all(policy.actions <= model.space.slack[model.space.hist])
 
 
 def test_encode_decode_bijection() -> None:
@@ -169,13 +208,12 @@ def test_encode_arrays_matches_scalar_encode() -> None:
     rng = np.random.default_rng(0)
     wl = rng.integers(0, 7, size=200)  # above cap on purpose; arrays clamp
     wh = rng.integers(0, 7, size=200)
-    hist_pool = [h for h in itertools.product(range(3), repeat=2) if sum(h) <= 2]
-    hist = np.asarray([hist_pool[i] for i in rng.integers(0, len(hist_pool), 200)])
+    hist = rng.integers(0, space.n_hist, size=200)
     coded = space.encode_arrays(wl, wh, hist)
     for i in range(200):
-        expect = space.encode(
-            MdpState(min(int(wl[i]), 3), min(int(wh[i]), 3), tuple(int(x) for x in hist[i]))
-        )
+        history = tuple(space.digits[hist[i]].tolist())
+        assert space.history_index(history) == hist[i]
+        expect = space.encode(MdpState(min(int(wl[i]), 3), min(int(wh[i]), 3), history))
         assert coded[i] == expect
 
 
@@ -291,10 +329,9 @@ def test_action_values_bound_the_policy() -> None:
     # The greedy action attains the state value, and illegal slots stay -inf.
     assert np.allclose(np.max(q, axis=1), policy.values, atol=1e-7)
     assert np.array_equal(greedy, policy.actions)
-    for idx, s in enumerate(model.space.states):
-        for a in range(model.space.budget + 1):
-            legal = a in legal_actions(s, model.space.budget)
-            assert np.isfinite(q[idx, a]) == legal
+    space = model.space
+    legal = np.arange(space.budget + 1) <= space.slack[space.hist][:, None]
+    assert np.array_equal(np.isfinite(q), legal)
 
 
 # Each shape: arrival model, cap, budget, window, discount; then the sweep
@@ -344,9 +381,7 @@ def test_solver_is_pinned_bit_for_bit(shape) -> None:
 
 def _greedy(space) -> np.ndarray:
     """Slack filling: process min(slack, waiting) in every state."""
-    return np.asarray(
-        [min(space.budget - sum(s.history), s.w_low + s.w_high) for s in space.states]
-    )
+    return np.minimum(space.slack[space.hist], space.w_low + space.w_high)
 
 
 @pytest.mark.parametrize("high_prob", [0.0, 1.0])
@@ -421,6 +456,15 @@ def test_policy_file_roundtrip(tmp_path) -> None:
     assert policy_text(back) == path.read_text(encoding="ascii")
 
 
+def test_one_state_policy_roundtrips(tmp_path) -> None:
+    # cap 0, budget 0, window 1: a file with a single state row.
+    policy = value_iteration(build_model(FLAGSHIP, cap=0, budget=0, window=1))
+    save_policy(policy, tmp_path / "one.policy")
+    back = load_policy(tmp_path / "one.policy")
+    assert back.space.n == 1 and np.array_equal(back.values, policy.values)
+    assert policy_text(back) == (tmp_path / "one.policy").read_text(encoding="ascii")
+
+
 def test_load_policy_rejects_corruption(tmp_path) -> None:
     policy = _tiny_policy()
     path = tmp_path / "tiny.policy"
@@ -460,6 +504,43 @@ def test_load_policy_rejects_corruption(tmp_path) -> None:
         load_policy(write("garbled.policy", lines[:1] + ["a,b,c,d"] + lines[2:]))
     with pytest.raises(ConfigError):
         load_policy(tmp_path / "missing.policy")
+
+
+def test_load_policy_is_strict_about_its_header(tmp_path, monkeypatch) -> None:
+    save_policy(_tiny_policy(), tmp_path / "tiny.policy")
+    lines = (tmp_path / "tiny.policy").read_text(encoding="ascii").splitlines()
+
+    def load(name, changed):
+        path = tmp_path / name
+        path.write_text("\n".join([*lines[:1], *changed, *lines[3:]]) + "\n", encoding="ascii")
+        return load_policy(path)
+
+    # History columns must be h1..h{window-1}, in order.
+    for header in ("index,w_low,w_high,h2,action,value", "index,w_low,w_high,hx,action,value",
+                   "index,w_high,w_low,h1,action,value", "index,w_low,w_high,h1,h2,action"):
+        with pytest.raises(ConfigError, match="bad state header"):
+            load("header.policy", [lines[1], header])
+    # The metadata's state count is checked before any space is built: at
+    # budget 500 it would be 9 * C(501, 1) states, not 27, and at cap 10,
+    # budget 500 and window 5, 121 * C(504, 4).
+    monkeypatch.setattr(mdp, "StateSpace", None)
+    with pytest.raises(ModelMismatch, match="has 27 states, expected 4509"):
+        load("budget.policy", [lines[1].replace("2,2,", "2,500,", 1), lines[2]])
+    with pytest.raises(ModelMismatch, match="expected 321450490746$"):
+        load("window.policy", ["10,500,0.9,1e-09", "index,w_low,w_high,h1,h2,h3,h4,action,value"])
+    with pytest.raises(ConfigError, match="bad state-space parameters"):
+        load("negative.policy", [lines[1].replace("2,2,", "2,-1,", 1), lines[2]])
+
+
+def test_load_policy_names_a_row_with_an_integer_beyond_int64(tmp_path) -> None:
+    save_policy(_tiny_policy(), tmp_path / "tiny.policy")
+    lines = (tmp_path / "tiny.policy").read_text(encoding="ascii").splitlines()
+    cells = lines[5].split(",")
+    cells[1] = "9" * 20
+    row = ",".join(cells)
+    (tmp_path / "big.policy").write_text("\n".join([*lines[:5], row, *lines[6:]]) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(repr(row))):
+        load_policy(tmp_path / "big.policy")
 
 
 # =============================================================

@@ -473,6 +473,20 @@ def test_count_engine_matches_object_engine_for_optimal() -> None:
         assert summary.values[i] == discounted_reward(r, config.discount)
 
 
+def test_count_engine_matches_object_engine_at_long_and_unit_windows() -> None:
+    # A heuristic's slack comes from the cumulative counts, not from an index
+    # of window histories: a (16, 64) window, with C(79, 16) (about 1.5e16)
+    # histories, runs on the count engine as a (2, 1) window does.
+    for delta, window in ((16, 64), (2, 40), (2, 1)):
+        config = replace(_flagship(Mechanism.prio_minslack(), steps=100, trials=3, seed=9),
+                         constraints=ConstraintSet([Constraint(delta, window)]))
+        assert _fastlane_eligible(config)
+        summary = monte_carlo(config)
+        for i in range(config.trials):
+            r = run_trial(config, config.seed + i)
+            assert summary.values[i] == discounted_reward(r, config.discount), window
+
+
 @functools.cache
 def _flagship_optimal() -> OptimalMechanism:
     arrivals = ArrivalModel(FLAGSHIP_COUNTS.as_count_dist(), 0.1, 1.0, 10.0)

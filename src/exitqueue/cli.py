@@ -58,6 +58,7 @@ from .errors import (
 )
 from .mechanisms import Mechanism, alpha_capacity
 from .mdp import (
+    MAX_BUDGET,
     ArrivalModel,
     MdpModel,
     OptimalMechanism,
@@ -296,12 +297,15 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
                 raise ConfigError("[policy] needs a single absolute constraint")
             if not isinstance(values, Discrete) or len(values.points) != 2:
                 raise ConfigError("[policy] needs a two-point [values] distribution")
+            budget = int(constraints[0].delta)
+            if budget > MAX_BUDGET:
+                raise ConfigError(f"[policy] needs a budget of at most {MAX_BUDGET}, got {budget}")
             pol = parser["policy"]
             rel = _get(pol, "path", _checked(str, bool, "must not be empty"),
                        f"policies/{name}.policy")
             policy_spec = PolicySpec(
                 cap=_get(pol, "cap", int, 10),
-                budget=int(constraints[0].delta),
+                budget=budget,
                 window=constraints[0].window,
                 tolerance=_get(pol, "tolerance", _positive, 1e-9),
                 high_prob=values.probs[values.points.index(max(values.points))],

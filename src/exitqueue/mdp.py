@@ -53,6 +53,7 @@ from .mechanisms import _by_cost_desc, _prefix
 __all__ = [
     "MdpState",
     "ArrivalModel",
+    "MAX_BUDGET",
     "StateSpace",
     "enumerate_states",
     "build_transitions",
@@ -126,11 +127,17 @@ class ArrivalModel:
 # =============================================================
 
 
+MAX_BUDGET = int(np.iinfo(np.int8).max)  # a policy stores its actions as int8
+
+
 def _state_count(cap: int, budget: int, window: int) -> int:
     """(cap+1)^2 count pairs times C(budget+window-1, window-1) histories;
-    ConfigError for parameters that describe no state space."""
+    ConfigError for parameters that describe no state space, or a budget
+    whose actions a policy cannot store."""
     if cap < 0 or budget < 0 or window < 1:
         raise ConfigError(f"bad state-space parameters cap={cap} budget={budget} window={window}")
+    if budget > MAX_BUDGET:
+        raise ConfigError(f"budget {budget} exceeds {MAX_BUDGET}, the most a policy can store")
     return (cap + 1) ** 2 * math.comb(budget + window - 1, window - 1)
 
 
@@ -243,19 +250,23 @@ class ActionTransitions:
 
 @dataclass(frozen=True)
 class TransitionTable:
-    """Transitions stored per after-state: the queue an action leaves
-    behind, before arrivals, which is itself a state index.
+    """Transitions as after-states and a stencil of arrival outcomes.
 
-    Row ``row_src == u`` is the successor distribution of after-state ``u``;
-    every (state, action) pair that reaches ``u`` shares that row.
+    An action leaves an after-state: the queue before arrivals, itself a
+    state index (``after``). Arrivals keep its history and move its counts
+    by the same offsets from every after-state, clamped at cap: outcome k
+    adds ``lows[k]`` lows and ``highs[k]`` highs. ``planes[k, w_low, w_high]``
+    is the probability of the successor that outcome k reaches from those
+    counts if k is the first outcome to reach it (the mass of every outcome
+    that does, summed in outcome order), and 0.0 otherwise.
     """
 
     space: StateSpace
     after: np.ndarray  # int64 (budget+1, n): after-state of (action, state), -1 if illegal
-    reward: np.ndarray  # float64 (budget+1, n): -inf where the action is illegal
-    row_src: np.ndarray  # int64 (nnz,) after-state indices, grouped and ascending
-    row_dst: np.ndarray  # int64 (nnz,)
-    row_prob: np.ndarray  # float64 (nnz,)
+    after_reward: np.ndarray  # float64 (n,): minus the waiting cost left in each after-state
+    lows: np.ndarray  # int64 (K,): each outcome's arrivals, clamped to cap
+    highs: np.ndarray  # int64 (K,)
+    planes: np.ndarray  # float64 (K, cap+1, cap+1)
 
     def after_states(self, action: int) -> np.ndarray:
         """After-state per state of one action (-1 where illegal);
@@ -264,42 +275,48 @@ class TransitionTable:
             raise IllegalAction(f"action {action} outside 0..{self.space.budget}")
         return self.after[action]
 
+    def _rows(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The successors of after-states ``u``: the position in ``u`` of
+        each, its state index and its probability, grouped by after-state
+        and in the order outcomes first reach them."""
+        space = self.space
+        w_low, w_high, hist = space.w_low[u], space.w_high[u], space.hist[u]
+        mass = self.planes[:, w_low, w_high].T
+        row, k = np.nonzero(mass)
+        low, high = w_low[row] + self.lows[k], w_high[row] + self.highs[k]
+        return row, space.encode_arrays(low, high, hist[row]), mass[row, k]
+
     def transitions(self, index: int, action: int) -> list[tuple[int, float]]:
         """Successor list for one (state, action); empty if illegal there."""
         u = self.after_states(action)[index]
         if u < 0:
             return []
-        lo, hi = np.searchsorted(self.row_src, [u, u + 1])
-        return list(zip(self.row_dst[lo:hi].tolist(), self.row_prob[lo:hi].tolist()))
+        _, dst, prob = self._rows(np.array([u]))
+        return list(zip(dst.tolist(), prob.tolist()))
 
     def row_sums(self, action: int) -> np.ndarray:
         """Total outgoing probability per legal state for one action."""
         after = self.after_states(action)
-        sums = np.bincount(self.row_src, weights=self.row_prob, minlength=self.space.n)
-        return sums[after[after >= 0]]
+        u = after[after >= 0]
+        return sum(self.planes)[self.space.w_low[u], self.space.w_high[u]]
 
     @cached_property
     def by_action(self) -> tuple[ActionTransitions, ...]:
-        """Every (state, action) row spelled out, one table per action: the
-        after-state rows copied to each pair that reaches them. Built on
-        first access for readers that want per-action rows; the solver
-        never builds it."""
-        starts = np.searchsorted(self.row_src, np.arange(self.space.n + 1))
+        """Every (state, action) row spelled out, one table per action.
+        Built on first access for readers that want per-action rows; the
+        solver never builds it."""
         view = []
-        for reward, after in zip(self.reward, self.after):
+        for after in self.after:
             legal = after >= 0
             src = np.flatnonzero(legal)
-            first = starts[after[src]]
-            sizes = starts[after[src] + 1] - first
-            # Position of each copied entry: its row's start plus its rank in the row.
-            pos = np.repeat(first - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+            row, dst, prob = self._rows(after[src])
             view.append(
                 ActionTransitions(
                     legal=legal,
-                    src=np.repeat(src, sizes),
-                    dst=self.row_dst[pos],
-                    prob=self.row_prob[pos],
-                    reward=np.where(legal, reward, 0.0),
+                    src=src[row],
+                    dst=dst,
+                    prob=prob,
+                    reward=np.where(legal, self.after_reward[after], 0.0),
                 )
             )
         return tuple(view)
@@ -314,17 +331,17 @@ def _binomial_pmf(k: int, p: float) -> list[float]:
 def build_transitions(
     arrival_model: ArrivalModel, cap: int, budget: int, window: int = 5
 ) -> TransitionTable:
-    """Sparse transition table, one successor row per after-state.
+    """After-states of every (state, action) pair, and the arrival stencil.
 
     Serving ``a`` from a state leaves an after-state (the counts left and
-    the shifted history), whose row is stored once however many (state,
-    action) pairs reach it. After processing, each arrival count k (with
+    the shifted history). After processing, each arrival count k (with
     probability P[Y=k]) splits into j high-cost arrivals with
-    Binomial(k, high_prob) weight; counts saturate at cap and merged
-    successors accumulate probability. Each row lists its successors in the
-    order the outcomes (k, j) first reach them, and merged probabilities are
-    summed in that order. The solver's backup reads each row once per sweep
-    and takes the best action per state, the smallest one on exact ties.
+    Binomial(k, high_prob) weight; the outcomes (k, j) with nonzero weight
+    become count offsets, in that order. Counts saturate at cap, so outcomes
+    can reach the same successor: its probability goes to the plane of the
+    first outcome that reaches it, summed from 0.0 in outcome order. An
+    after-state's successors are then the nonzero planes at its counts, in
+    plane order, with its own history.
     """
     space = StateSpace(cap, budget, window)
     outcomes = [
@@ -334,33 +351,25 @@ def build_transitions(
         for j, pj in enumerate(_binomial_pmf(k, arrival_model.high_prob))
     ]
     lows, highs, probs = map(np.asarray, zip(*[o for o in outcomes if o[2] != 0.0]))
+    lows, highs = np.minimum(lows, cap), np.minimum(highs, cap)
     a = np.arange(budget + 1)[:, None]  # row a serves a from every state
     legal = a <= space.slack[space.hist]
     low_left, high_left, _, _ = serve(space.w_low, space.w_high, a)
-    cost = arrival_model.cost_high * high_left + arrival_model.cost_low * low_left
-    reward = np.where(legal, -cost, -np.inf)
     pushed = space.push[space.hist, a]
     after = np.where(legal, space.encode_arrays(low_left, high_left, pushed), -1)
+    cost = arrival_model.cost_high * space.w_high + arrival_model.cost_low * space.w_low
 
-    # An after-state is a state index, so its counts and history are those
-    # of the state it encodes.
-    u = np.unique(after[after >= 0])
-    dst = space.encode_arrays(
-        space.w_low[u][:, None] + lows, space.w_high[u][:, None] + highs, space.hist[u][:, None]
-    )
-    # Merge equal successors of an after-state: one key per (after-state,
-    # successor), kept in first-occurrence order and summed in outcome order.
-    key = (u[:, None] * space.n + dst).ravel()
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    merged = np.bincount(inverse, weights=np.tile(probs, u.size))
-    order = np.argsort(first)
+    # The count pair each outcome reaches from each count pair; each outcome's
+    # probability goes to the first outcome that reaches the same pair.
+    counts = np.arange(cap + 1)
+    reach = (np.minimum(counts + lows[:, None], cap)[:, :, None] * (cap + 1)
+             + np.minimum(counts + highs[:, None], cap)[:, None, :])
+    planes = np.zeros(reach.shape)
+    i, j = np.indices(reach.shape[1:])
+    for k, p in enumerate(probs):
+        planes[np.argmax(reach[: k + 1] == reach[k], axis=0), i, j] += p
     return TransitionTable(
-        space=space,
-        after=after,
-        reward=reward,
-        row_src=key[first[order]] // space.n,
-        row_dst=key[first[order]] % space.n,
-        row_prob=merged[order],
+        space=space, after=after, after_reward=-cost, lows=lows, highs=highs, planes=planes
     )
 
 
@@ -384,9 +393,10 @@ class MdpModel:
         return self.table.transitions(index, action)
 
     def reward_of(self, index: int, action: int) -> float:
-        if self.table.after_states(action)[index] < 0:
+        u = self.table.after_states(action)[index]
+        if u < 0:
             raise IllegalAction(f"action {action} illegal in state {index}")
-        return float(self.table.reward[action, index])
+        return float(self.table.after_reward[u])
 
 
 def build_model(
@@ -443,18 +453,39 @@ class Policy:
         return ConstraintSet([Constraint(self.space.budget, self.space.window)])
 
 
+def _after_values(
+    table: TransitionTable, after_reward: np.ndarray, discount: float, values: np.ndarray
+) -> np.ndarray:
+    """Each after-state's value, its reward plus the discounted expected
+    value of its successor, on a (cap+1, cap+1, histories) grid: the
+    rewards and values take their history axis in one order, any order.
+
+    Outcome k reads the value grid shifted by its offsets, and padding the
+    grid with its edge is the clamp at cap. The planes add up in outcome
+    order from 0.0, so each sum adds the successors in the order outcomes
+    first reach them; a 0.0 entry adds a signed zero, which changes no sum.
+    """
+    cap = table.space.cap
+    pad = np.empty((cap + 1 + table.lows.max(), cap + 1 + table.highs.max(), values.shape[2]))
+    pad[: cap + 1, : cap + 1] = values
+    pad[cap + 1 :, : cap + 1] = values[cap]
+    pad[:, cap + 1 :] = pad[:, cap : cap + 1]
+    ev = np.zeros(values.shape)
+    for plane, low, high in zip(table.planes[..., None], table.lows, table.highs):
+        ev += plane * pad[low : low + cap + 1, high : high + cap + 1]
+    return after_reward + discount * ev
+
+
 def _backup(table: TransitionTable, discount: float, values: np.ndarray) -> np.ndarray:
     """One Bellman backup: Q-values, action-major with shape (budget+1, n),
-    -inf where the action is illegal.
-
-    Each after-state's expected next value is computed once, and every
-    (state, action) pair that reaches it reads that one number.
-    """
-    ev = np.bincount(
-        table.row_src, weights=table.row_prob * values[table.row_dst], minlength=table.space.n
+    -inf where the action is illegal. Q(s, a) is the value of the
+    after-state that ``a`` leaves from ``s``."""
+    space = table.space
+    grid = (space.cap + 1, space.cap + 1, space.n_hist)
+    after_values = _after_values(
+        table, table.after_reward.reshape(grid), discount, values.reshape(grid)
     )
-    # Illegal pairs index ev[-1]; their -inf reward keeps Q at -inf.
-    return table.reward + discount * ev[table.after]
+    return np.append(after_values, -np.inf)[table.after]  # after == -1 reads -inf
 
 
 def value_iteration(
@@ -474,10 +505,28 @@ def value_iteration(
     if max_iterations is None:
         max_iterations = max(1, math.ceil(10 * math.log(tolerance) / math.log(gamma)))
 
-    values = np.zeros(model.space.n, dtype=np.float64)
+    # The sweeps keep the histories by slack, descending and stable: action
+    # a is legal on the first legal[a] of them, so a sweep reads only the
+    # after-states of legal pairs, renumbered into that order. A max is
+    # exact in any order, so each sweep gives the full Q's maximum.
+    space, table = model.space, model.table
+    grid = (space.cap + 1, space.cap + 1, space.n_hist)
+    order = np.argsort(-space.slack, kind="stable")
+    rank = np.argsort(order)
+    legal = np.count_nonzero(space.slack >= np.arange(space.budget + 1)[:, None], axis=1)
+    after_reward = table.after_reward.reshape(grid)[:, :, order]
+    pair, hist = np.divmod(table.after.reshape(-1, *grid)[..., order], space.n_hist)
+    after = pair * space.n_hist + rank[hist]
+    reads = [after[a, :, :, :n].copy() for a, n in enumerate(legal)]
+
+    values = np.zeros(grid)
     diffs: list[float] = []
     for _ in range(max_iterations):
-        new_values = _backup(model.table, gamma, values).max(axis=0)
+        after_values = _after_values(table, after_reward, gamma, values).ravel()
+        new_values = after_values[reads[0]]
+        for read in reads[1:]:
+            best = new_values[:, :, : read.shape[2]]
+            np.maximum(best, after_values[read], out=best)
         diff = float(np.max(np.abs(new_values - values)))
         diffs.append(diff)
         values = new_values
@@ -488,6 +537,7 @@ def value_iteration(
             f"value iteration did not reach tolerance {tolerance} "
             f"in {max_iterations} sweeps (last diff {diffs[-1]:.3e})"
         )
+    values = values[:, :, rank].ravel()
 
     # argmax takes the first maximum: exact ties resolve to the smallest action.
     q = _backup(model.table, gamma, values)

@@ -281,6 +281,14 @@ def test_load_experiment_policy_needs_the_two_class_model(tmp_path) -> None:
         load_experiment(_config(tmp_path, two_windows, "two.cfg"))
 
 
+def test_policy_budget_above_127_is_a_config_error(tmp_path, capsys) -> None:
+    # A policy stores its actions as int8; the loader refuses a wider budget.
+    wide = _config(tmp_path, BASE.replace("windows = 2:3", "windows = 128:3"), "wide.cfg")
+    assert main(["solve", "--config", str(wide)]) == 2
+    assert "[policy] needs a budget of at most 127, got 128" in capsys.readouterr().err
+    assert not (tmp_path / "policies").exists()
+
+
 def test_load_experiment_reads_uniform_lo_and_hi(tmp_path) -> None:
     text = BASE[: BASE.index("[policy]")].replace(
         "kind = discrete\npoints = 1:0.9, 10:0.1", "kind = uniform\nlo = 2\nhi = 3"

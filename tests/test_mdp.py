@@ -203,6 +203,15 @@ def test_encode_decode_bijection() -> None:
         space.encode(MdpState(4, 0, (0, 0)))
 
 
+def test_state_space_refuses_budgets_its_actions_cannot_store() -> None:
+    # Actions are stored as int8: budget 127 builds, and 128 is refused
+    # before any array is built.
+    assert StateSpace(1, 127, 1).n == 4
+    for window in (1, 5):
+        with pytest.raises(ConfigError, match="budget 128 exceeds 127"):
+            StateSpace(1, 128, window)
+
+
 def test_encode_arrays_matches_scalar_encode() -> None:
     space = StateSpace(3, 2, window=3)
     rng = np.random.default_rng(0)
@@ -358,7 +367,33 @@ _SOLVER_PINS = [
     (_ONE_EACH, 3, 1, 2, 0.9, 216, "fb1db57505a14ad7", "f03275b8885c5dde"),
     (_WIDE, 5, 3, 2, 0.95, 443, "71fa50fe6bc02fc0", "d7913a4ceafdf5ff"),
     (_TWO_HIGHS, 3, 2, 2, 0.9, 231, "8ae2a5028c883544", "7e0c2b858ddba6ce"),
+    # Clamping merges outcomes: at cap 0 all of them, at cap 1 most, and at
+    # cap 2 under _WIDE outcomes that are not adjacent in outcome order.
+    (FLAGSHIP, 0, 2, 2, 0.9, 1, "ea49aa9f6f6cf2d5", "374708fff7719dd5"),
+    (FLAGSHIP, 1, 2, 3, 0.9, 186, "e1db1f7a8f37ddf5", "382b51869a57e42f"),
+    (_WIDE, 2, 3, 2, 0.95, 416, "8e96deee70c6203d", "7b3011263246e2ff"),
 ]
+
+# SHA-256 prefix of repr() of every successor list, model.transitions(i, a)
+# for each action a and state i: the successors in the order outcomes first
+# reach them, with the probabilities merged in outcome order.
+_ROW_PINS = {
+    "k5-q0.1-cap3-budget2-window3-0.9": "4b829f36dbd1fb4c",
+    "k5-q0.1-cap4-budget2-window1-0.9": "6b6b5371cc10db12",
+    "k5-q0.1-cap5-budget5-window1-0.9": "c66790241d0370c1",
+    "k5-q0.1-cap3-budget0-window2-0.9": "9788e287fadca0dc",
+    "k5-q0.1-cap6-budget3-window4-0.85": "75c73d18668de2b3",
+    "k0-q0.0-cap3-budget2-window2-0.9": "4d1e88ce5ef1130d",
+    "k0-q0.0-cap4-budget3-window1-0.95": "44e466d2906bfdc9",
+    "k5-q0.0-cap4-budget2-window3-0.9": "c2fa2c31c7347304",
+    "k5-q1.0-cap4-budget2-window3-0.9": "8738c28e497f86f0",
+    "k1-q0.5-cap3-budget1-window2-0.9": "5c4e14ba618ffaea",
+    "k3-q0.3-cap5-budget3-window2-0.95": "9c94580685c36423",
+    "k2-q1.0-cap3-budget2-window2-0.9": "90b0388979f76bf7",
+    "k5-q0.1-cap0-budget2-window2-0.9": "e8b48f9868e88780",
+    "k5-q0.1-cap1-budget2-window3-0.9": "4796a6b0d2507038",
+    "k3-q0.3-cap2-budget3-window2-0.95": "612aba0f22d268f8",
+}
 
 
 def _shape_id(shape) -> str:
@@ -377,6 +412,14 @@ def test_solver_is_pinned_bit_for_bit(shape) -> None:
     assert digest[:16] == solved
     trail = np.asarray(info.sweep_diffs + (info.residual,)).tobytes()
     assert hashlib.sha256(trail).hexdigest()[:16] == diffs
+
+
+@pytest.mark.parametrize("shape", _SOLVER_PINS, ids=_shape_id)
+def test_transition_rows_are_pinned(shape) -> None:
+    model = build_model(*shape[:5])
+    pairs = itertools.product(range(model.space.budget + 1), range(model.space.n))
+    rows = repr([model.transitions(i, a) for a, i in pairs])
+    assert hashlib.sha256(rows.encode()).hexdigest()[:16] == _ROW_PINS[_shape_id(shape)]
 
 
 def _greedy(space) -> np.ndarray:
@@ -521,15 +564,18 @@ def test_load_policy_is_strict_about_its_header(tmp_path, monkeypatch) -> None:
         with pytest.raises(ConfigError, match="bad state header"):
             load("header.policy", [lines[1], header])
     # The metadata's state count is checked before any space is built: at
-    # budget 500 it would be 9 * C(501, 1) states, not 27, and at cap 10,
-    # budget 500 and window 5, 121 * C(504, 4).
+    # budget 100 it would be 9 * C(101, 1) states, not 27, and at cap 10,
+    # budget 100 and window 5, 121 * C(104, 4).
     monkeypatch.setattr(mdp, "StateSpace", None)
-    with pytest.raises(ModelMismatch, match="has 27 states, expected 4509"):
-        load("budget.policy", [lines[1].replace("2,2,", "2,500,", 1), lines[2]])
-    with pytest.raises(ModelMismatch, match="expected 321450490746$"):
-        load("window.policy", ["10,500,0.9,1e-09", "index,w_low,w_high,h1,h2,h3,h4,action,value"])
+    with pytest.raises(ModelMismatch, match="has 27 states, expected 909"):
+        load("budget.policy", [lines[1].replace("2,2,", "2,100,", 1), lines[2]])
+    with pytest.raises(ModelMismatch, match="expected 556373246$"):
+        load("window.policy", ["10,100,0.9,1e-09", "index,w_low,w_high,h1,h2,h3,h4,action,value"])
     with pytest.raises(ConfigError, match="bad state-space parameters"):
         load("negative.policy", [lines[1].replace("2,2,", "2,-1,", 1), lines[2]])
+    # Actions are stored as int8, so a budget above 127 is refused outright.
+    with pytest.raises(ConfigError, match="budget 500 exceeds 127"):
+        load("wide.policy", [lines[1].replace("2,2,", "2,500,", 1), lines[2]])
 
 
 def test_load_policy_names_a_row_with_an_integer_beyond_int64(tmp_path) -> None:

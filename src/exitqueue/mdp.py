@@ -180,8 +180,11 @@ class StateSpace:
         self.window = window
         self.digits, self.slack, self.push = _histories(budget, window - 1)
         self.n_hist = self.slack.size
-        pairs, self.hist = np.divmod(np.arange(self.n), self.n_hist)
-        self.w_low, self.w_high = np.divmod(pairs, cap + 1)
+        try:
+            pairs, self.hist = np.divmod(np.arange(self.n), self.n_hist)
+            self.w_low, self.w_high = np.divmod(pairs, cap + 1)
+        except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
+            raise ConfigError(f"cannot allocate a state space of {self.n:,} states") from None
 
     @cached_property
     def states(self) -> list[MdpState]:
@@ -453,19 +456,18 @@ class Policy:
         return ConstraintSet([Constraint(self.space.budget, self.space.window)])
 
 
-def _after_values(
-    table: TransitionTable, after_reward: np.ndarray, discount: float, values: np.ndarray
-) -> np.ndarray:
-    """Each after-state's value, its reward plus the discounted expected
-    value of its successor, on a (cap+1, cap+1, histories) grid: the
-    rewards and values take their history axis in one order, any order.
+def _after_values(table: TransitionTable, discount: float, values: np.ndarray) -> np.ndarray:
+    """Each after-state's value, in state order: its reward plus the
+    discounted expected value of its successor.
 
-    Outcome k reads the value grid shifted by its offsets, and padding the
-    grid with its edge is the clamp at cap. The planes add up in outcome
-    order from 0.0, so each sum adds the successors in the order outcomes
-    first reach them; a 0.0 entry adds a signed zero, which changes no sum.
+    On the (cap+1, cap+1, histories) value grid, outcome k reads the grid
+    shifted by its offsets, and padding the grid with its edge is the clamp
+    at cap. The planes add up in outcome order from 0.0, so each sum adds
+    the successors in the order outcomes first reach them; a 0.0 entry adds
+    a signed zero, which changes no sum.
     """
     cap = table.space.cap
+    values = values.reshape(cap + 1, cap + 1, -1)
     pad = np.empty((cap + 1 + table.lows.max(), cap + 1 + table.highs.max(), values.shape[2]))
     pad[: cap + 1, : cap + 1] = values
     pad[cap + 1 :, : cap + 1] = values[cap]
@@ -473,19 +475,7 @@ def _after_values(
     ev = np.zeros(values.shape)
     for plane, low, high in zip(table.planes[..., None], table.lows, table.highs):
         ev += plane * pad[low : low + cap + 1, high : high + cap + 1]
-    return after_reward + discount * ev
-
-
-def _backup(table: TransitionTable, discount: float, values: np.ndarray) -> np.ndarray:
-    """One Bellman backup: Q-values, action-major with shape (budget+1, n),
-    -inf where the action is illegal. Q(s, a) is the value of the
-    after-state that ``a`` leaves from ``s``."""
-    space = table.space
-    grid = (space.cap + 1, space.cap + 1, space.n_hist)
-    after_values = _after_values(
-        table, table.after_reward.reshape(grid), discount, values.reshape(grid)
-    )
-    return np.append(after_values, -np.inf)[table.after]  # after == -1 reads -inf
+    return table.after_reward + discount * ev.ravel()
 
 
 def value_iteration(
@@ -497,7 +487,10 @@ def value_iteration(
 
     Sweeps until successive value vectors differ by at most ``tolerance``;
     the fixed-point contraction then bounds the returned values' residual
-    by discount * tolerance.
+    by discount * tolerance. A sweep values every after-state once, reads
+    action 0 (always legal) at every state, then the legal pairs of the
+    other actions, action by action. ``action_values`` at the final values
+    gives the greedy actions and the residual.
     """
     if tolerance <= 0:
         raise ConfigError(f"tolerance must be positive, got {tolerance}")
@@ -505,28 +498,15 @@ def value_iteration(
     if max_iterations is None:
         max_iterations = max(1, math.ceil(10 * math.log(tolerance) / math.log(gamma)))
 
-    # The sweeps keep the histories by slack, descending and stable: action
-    # a is legal on the first legal[a] of them, so a sweep reads only the
-    # after-states of legal pairs, renumbered into that order. A max is
-    # exact in any order, so each sweep gives the full Q's maximum.
-    space, table = model.space, model.table
-    grid = (space.cap + 1, space.cap + 1, space.n_hist)
-    order = np.argsort(-space.slack, kind="stable")
-    rank = np.argsort(order)
-    legal = np.count_nonzero(space.slack >= np.arange(space.budget + 1)[:, None], axis=1)
-    after_reward = table.after_reward.reshape(grid)[:, :, order]
-    pair, hist = np.divmod(table.after.reshape(-1, *grid)[..., order], space.n_hist)
-    after = pair * space.n_hist + rank[hist]
-    reads = [after[a, :, :, :n].copy() for a, n in enumerate(legal)]
-
-    values = np.zeros(grid)
+    after = model.table.after
+    legal = after[1:] >= 0
+    states, reads = np.nonzero(legal)[1], after[1:][legal]  # action-major: actions in order
+    values = np.zeros(model.space.n)
     diffs: list[float] = []
     for _ in range(max_iterations):
-        after_values = _after_values(table, after_reward, gamma, values).ravel()
-        new_values = after_values[reads[0]]
-        for read in reads[1:]:
-            best = new_values[:, :, : read.shape[2]]
-            np.maximum(best, after_values[read], out=best)
+        after_values = _after_values(model.table, gamma, values)
+        new_values = after_values[after[0]]
+        np.maximum.at(new_values, states, after_values[reads])
         diff = float(np.max(np.abs(new_values - values)))
         diffs.append(diff)
         values = new_values
@@ -537,12 +517,11 @@ def value_iteration(
             f"value iteration did not reach tolerance {tolerance} "
             f"in {max_iterations} sweeps (last diff {diffs[-1]:.3e})"
         )
-    values = values[:, :, rank].ravel()
 
     # argmax takes the first maximum: exact ties resolve to the smallest action.
-    q = _backup(model.table, gamma, values)
-    actions = np.argmax(q, axis=0).astype(np.int8)
-    residual = float(np.max(np.abs(q.max(axis=0) - values)))
+    q = action_values(model, values)
+    actions = np.argmax(q, axis=1).astype(np.int8)
+    residual = float(np.max(np.abs(q.max(axis=1) - values)))
     return Policy(
         space=model.space,
         discount=gamma,
@@ -554,8 +533,11 @@ def value_iteration(
 
 
 def action_values(model: MdpModel, values: np.ndarray) -> np.ndarray:
-    """Q(s, a) matrix for a value vector; -inf marks illegal actions."""
-    return _backup(model.table, model.discount, values).T
+    """One full Bellman backup of a value vector: Q(s, a) with shape
+    (n, budget+1), the value of the after-state that ``a`` leaves from
+    ``s``, and -inf where ``a`` is illegal."""
+    after_values = _after_values(model.table, model.discount, values)
+    return np.append(after_values, -np.inf)[model.table.after.T]  # after == -1 reads -inf
 
 
 # =============================================================

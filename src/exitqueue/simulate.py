@@ -405,27 +405,33 @@ def make_histogram(values: Sequence[float], bin_width: float = 0.1) -> list[Hist
     """Fixed-width bins aligned at integer multiples of the width.
 
     Density integrates to 1 over the emitted bins; empty bins are omitted,
-    so log_density (natural log) is always finite.
+    so log_density (natural log) is always finite. A width that leaves some
+    value without an int64 bin index, or some bin without edges left < right
+    or a finite density, is a ConfigError.
     """
     if bin_width <= 0:
         raise ConfigError(f"bin width must be positive, got {bin_width}")
     if not values:
         raise ConfigError("cannot bin an empty value list")
     n = len(values)
-    indices = np.floor(np.asarray(values, dtype=np.float64) / bin_width).astype(np.int64)
-    bins = []
-    for idx, count in sorted(zip(*np.unique(indices, return_counts=True))):
-        density = count / (n * bin_width)
-        bins.append(
-            HistogramBin(
-                left=idx * bin_width,
-                right=(idx + 1) * bin_width,
-                count=int(count),
-                density=density,
-                log_density=math.log(density),
-            )
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.floor(values / bin_width)
+        bad = ~(np.abs(scaled) < 2.0**63)  # not finite, or no int64 bin index
+        if bad.any():
+            raise ConfigError(f"bin width {bin_width} cannot bin value {values[bad][0]}")
+        idx, counts = np.unique(scaled.astype(np.int64), return_counts=True)
+        left, right, density = idx * bin_width, (idx + 1) * bin_width, counts / (n * bin_width)
+    wrong = np.flatnonzero(~((left < right) & (right < math.inf) & (density < math.inf)))
+    if wrong.size:
+        i = wrong[0]
+        raise ConfigError(
+            f"bin width {bin_width} cannot represent bin [{left[i]}, {right[i]}) or its density"
         )
-    return bins
+    return [
+        HistogramBin(left=lo, right=hi, count=int(c), density=d, log_density=math.log(d))
+        for lo, hi, c, d in zip(left, right, counts, density)
+    ]
 
 
 # =============================================================

@@ -289,6 +289,17 @@ def test_policy_budget_above_127_is_a_config_error(tmp_path, capsys) -> None:
     assert not (tmp_path / "policies").exists()
 
 
+def test_unallocatable_state_space_is_a_config_error(tmp_path, capsys) -> None:
+    # 1,000,001^2 count pairs x 126 histories: more bytes than an address space holds.
+    text = (CONFIGS / "gamma90.cfg").read_text(encoding="utf-8")
+    text = text.replace("cap = 10\n", "cap = 1000000\n")
+    cfg = _config(tmp_path, text.replace("policies/gamma90", "policies/huge"), "huge.cfg")
+    for command in ("solve", "simulate"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "cannot allocate a state space of 126,000,252,000,126 states" in capsys.readouterr().err
+    assert not (tmp_path / "policies").exists()
+
+
 def test_load_experiment_reads_uniform_lo_and_hi(tmp_path) -> None:
     text = BASE[: BASE.index("[policy]")].replace(
         "kind = discrete\npoints = 1:0.9, 10:0.1", "kind = uniform\nlo = 2\nhi = 3"
@@ -485,6 +496,14 @@ def test_histogram_density_normalizes(tmp_path, capsys) -> None:
     assert set(by_mech) == {"minslack", "prio-minslack", "alpha-minslack(0.9)", "constant(1)"}
     for total in by_mech.values():
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_histogram_bin_width_too_fine_for_the_values_exits_2(tmp_path, capsys) -> None:
+    cfg = _config(tmp_path, BASE.replace("bin_width = 0.05", "bin_width = 1e-300"))
+    assert main(["histogram", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "bin width 1e-300 cannot bin value" in captured.err
+    assert captured.out == ""
 
 
 def test_histogram_rejects_steady_state(tmp_path, capsys) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -840,6 +841,21 @@ def test_histogram_rejects_bad_input() -> None:
         make_histogram([], 0.1)
     with pytest.raises(ConfigError):
         make_histogram([1.0], 0.0)
+    # No int64 bin index, edges that collapse or overflow, a density beyond
+    # the float range, a value that is not finite: each would print a bin
+    # that is wrong.
+    for values, width in [
+        ([1.0, 2.0, -3.5], 1e-300),
+        ([1.0, 2.0], 1e-17),
+        ([1.7e308], 1e308),
+        ([0.0], 5e-324),
+        ([1.0, math.nan], 0.1),
+        ([1.0, math.inf], 0.1),
+        ([1.0], math.inf),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(f"bin width {width} ")):
+            make_histogram(values, width)
+    assert [b.right for b in make_histogram([1.0, 2.0], 1e300)] == [1e300]
 
 
 def test_summary_histogram_uses_trial_values() -> None:

@@ -500,13 +500,13 @@ def value_iteration(
 
     after = model.table.after
     legal = after[1:] >= 0
-    states, reads = np.nonzero(legal)[1], after[1:][legal]  # action-major: actions in order
+    states, legal_after = np.nonzero(legal)[1], after[1:][legal]  # action-major: actions in order
     values = np.zeros(model.space.n)
     diffs: list[float] = []
     for _ in range(max_iterations):
         after_values = _after_values(model.table, gamma, values)
         new_values = after_values[after[0]]
-        np.maximum.at(new_values, states, after_values[reads])
+        np.maximum.at(new_values, states, after_values[legal_after])
         diff = float(np.max(np.abs(new_values - values)))
         diffs.append(diff)
         values = new_values

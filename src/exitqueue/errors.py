@@ -10,7 +10,6 @@ __all__ = [
     "UnknownRequest",
     "InfeasibleProcessing",
     "InvalidAlpha",
-    "IllegalAction",
     "NonConvergence",
     "ModelMismatch",
     "InstanceTooLarge",
@@ -45,10 +44,6 @@ class InfeasibleProcessing(ExitQueueError):
 
 class InvalidAlpha(ExitQueueError):
     """Alpha scale factor outside (0, 1]."""
-
-
-class IllegalAction(ExitQueueError):
-    """Action not legal in the given decision state."""
 
 
 class NonConvergence(ExitQueueError):

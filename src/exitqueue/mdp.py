@@ -43,7 +43,6 @@ from .core import (
 from .distributions import Discrete
 from .errors import (
     ConfigError,
-    IllegalAction,
     ModelMismatch,
     NonConvergence,
     UnknownRequest,
@@ -178,11 +177,11 @@ class StateSpace:
         self.cap = cap
         self.budget = budget
         self.window = window
-        self.digits, self.slack, self.push = _histories(budget, window - 1)
-        self.n_hist = self.slack.size
-        try:
+        self.n_hist = self.n // (cap + 1) ** 2
+        try:  # the per-state arrays first: they are the largest
             pairs, self.hist = np.divmod(np.arange(self.n), self.n_hist)
             self.w_low, self.w_high = np.divmod(pairs, cap + 1)
+            self.digits, self.slack, self.push = _histories(budget, window - 1)
         except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
             raise ConfigError(f"cannot allocate a state space of {self.n:,} states") from None
 
@@ -271,54 +270,28 @@ class TransitionTable:
     highs: np.ndarray  # int64 (K,)
     planes: np.ndarray  # float64 (K, cap+1, cap+1)
 
-    def after_states(self, action: int) -> np.ndarray:
-        """After-state per state of one action (-1 where illegal);
-        IllegalAction outside 0..budget."""
-        if not 0 <= action <= self.space.budget:
-            raise IllegalAction(f"action {action} outside 0..{self.space.budget}")
-        return self.after[action]
-
-    def _rows(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The successors of after-states ``u``: the position in ``u`` of
-        each, its state index and its probability, grouped by after-state
-        and in the order outcomes first reach them."""
-        space = self.space
-        w_low, w_high, hist = space.w_low[u], space.w_high[u], space.hist[u]
-        mass = self.planes[:, w_low, w_high].T
-        row, k = np.nonzero(mass)
-        low, high = w_low[row] + self.lows[k], w_high[row] + self.highs[k]
-        return row, space.encode_arrays(low, high, hist[row]), mass[row, k]
-
-    def transitions(self, index: int, action: int) -> list[tuple[int, float]]:
-        """Successor list for one (state, action); empty if illegal there."""
-        u = self.after_states(action)[index]
-        if u < 0:
-            return []
-        _, dst, prob = self._rows(np.array([u]))
-        return list(zip(dst.tolist(), prob.tolist()))
-
-    def row_sums(self, action: int) -> np.ndarray:
-        """Total outgoing probability per legal state for one action."""
-        after = self.after_states(action)
-        u = after[after >= 0]
-        return sum(self.planes)[self.space.w_low[u], self.space.w_high[u]]
-
     @cached_property
     def by_action(self) -> tuple[ActionTransitions, ...]:
-        """Every (state, action) row spelled out, one table per action.
-        Built on first access for readers that want per-action rows; the
-        solver never builds it."""
+        """Every (state, action) row spelled out, one table per action: a
+        legal state's successors are the nonzero planes at its after-state's
+        counts, in plane order. Built on first access; the solver never
+        builds it."""
+        space = self.space
         view = []
         for after in self.after:
             legal = after >= 0
             src = np.flatnonzero(legal)
-            row, dst, prob = self._rows(after[src])
+            u = after[src]
+            w_low, w_high, hist = space.w_low[u], space.w_high[u], space.hist[u]
+            mass = self.planes[:, w_low, w_high].T
+            row, k = np.nonzero(mass)
+            low, high = w_low[row] + self.lows[k], w_high[row] + self.highs[k]
             view.append(
                 ActionTransitions(
                     legal=legal,
                     src=src[row],
-                    dst=dst,
-                    prob=prob,
+                    dst=space.encode_arrays(low, high, hist[row]),
+                    prob=mass[row, k],
                     reward=np.where(legal, self.after_reward[after], 0.0),
                 )
             )
@@ -392,15 +365,6 @@ class MdpModel:
     def space(self) -> StateSpace:
         return self.table.space
 
-    def transitions(self, index: int, action: int) -> list[tuple[int, float]]:
-        return self.table.transitions(index, action)
-
-    def reward_of(self, index: int, action: int) -> float:
-        u = self.table.after_states(action)[index]
-        if u < 0:
-            raise IllegalAction(f"action {action} illegal in state {index}")
-        return float(self.table.after_reward[u])
-
 
 def build_model(
     arrival_model: ArrivalModel,
@@ -435,14 +399,6 @@ class Policy:
     actions: np.ndarray  # int8 (n,)
     values: np.ndarray  # float64 (n,)
     info: SolveInfo | None = None
-
-    def action_of(self, state: MdpState | int) -> int:
-        idx = state if isinstance(state, int) else self.space.encode(state)
-        return int(self.actions[idx])
-
-    def value_of(self, state: MdpState | int) -> float:
-        idx = state if isinstance(state, int) else self.space.encode(state)
-        return float(self.values[idx])
 
     def take(self, w_low: np.ndarray, w_high: np.ndarray, hist: np.ndarray) -> np.ndarray:
         """How many each count state processes: its action (counts clamped
@@ -685,7 +641,8 @@ def optimal_select(
     """
     _validate_queue(policy, state, arrival_model)
     mstate = queue_to_mdp_state(state, arrival_model, policy.space.window, policy.space.cap)
-    return _prefix(_by_cost_desc(state.waiting, "cost"), policy.action_of(mstate))
+    action = int(policy.actions[policy.space.encode(mstate)])
+    return _prefix(_by_cost_desc(state.waiting, "cost"), action)
 
 
 @dataclass(frozen=True)
@@ -786,7 +743,6 @@ def vcg_estimate(
     *,
     samples: int = 10_000,
     seed: int = 0,
-    horizon: int | None = None,
 ) -> VcgEstimate:
     """Externality of one agent: others' expected discounted waiting cost
     with the agent present minus with it absent, under the solved policy.
@@ -803,8 +759,7 @@ def vcg_estimate(
     _validate_queue(policy, state, arrival_model)
     space = policy.space
     gamma = policy.discount
-    if horizon is None:
-        horizon = max(1, math.ceil(math.log(1e-10) / math.log(gamma)))
+    horizon = max(1, math.ceil(math.log(1e-10) / math.log(gamma)))  # gamma^horizon <= 1e-10
 
     agent_is_high = arrival_model.cost_class(agent.cost) == "high"
     order = _by_cost_desc(state.waiting, "cost")
@@ -853,7 +808,7 @@ def vcg_estimate(
         # Cross-check: with no agent-tracking the without branch is plain
         # value-function mass, valid whenever counts never saturate the cap.
         if absent.w_low <= space.cap and absent.w_high <= space.cap and not saturated:
-            v = policy.value_of(absent)
+            v = float(policy.values[space.encode(absent)])
             if abs(-v - float(acc[1, 0])) > 1e-6 * max(1.0, abs(v)):
                 raise ModelMismatch(
                     "deterministic rollout disagrees with the value function; "

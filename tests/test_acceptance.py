@@ -43,7 +43,7 @@ from exitqueue.simulate import (
     run_trial,
 )
 
-from test_mdp import _oracle_successors, _oracle_values
+from test_mdp import _oracle_successors, _oracle_values, _successors
 
 FLAGSHIP_COUNTS = Discrete((0, 1, 5), (0.5, 0.4, 0.1))
 FLAGSHIP_VALUES = Discrete((1, 10), (0.9, 0.1))
@@ -132,7 +132,7 @@ def test_criterion_02_policy_spot_checks(solved) -> None:
     space = policy.space
     s0 = MdpState(10, 0, (0, 0, 0, 0))
     i0 = space.encode(s0)
-    action0 = policy.action_of(s0)
+    action0 = int(policy.actions[i0])
     greedy = np.asarray([min(5 - sum(s.history), s.w_low + s.w_high) for s in space.states])
     hist = _greedy_histogram(greedy, policy.actions)
     deviating = np.flatnonzero(greedy != policy.actions)
@@ -160,7 +160,7 @@ def test_criterion_02_policy_spot_checks(solved) -> None:
         s = space.states[i]
         key = (s.w_low, s.w_high, s.history)
         for a in range(space.budget + 1):
-            got = model.transitions(i, a)
+            got = _successors(model, i, a)
             if a > space.budget - sum(s.history):
                 if got:
                     row_faults.append(f"{key} a={a}: illegal action has successors")
@@ -170,7 +170,7 @@ def test_criterion_02_policy_spot_checks(solved) -> None:
             for j, p in got:
                 t = space.states[j]
                 row[(t.w_low, t.w_high, t.history)] = p
-            if row.keys() != succ.keys() or model.reward_of(i, a) != rew:
+            if row.keys() != succ.keys() or model.table.by_action[a].reward[i] != rew:
                 row_faults.append(f"{key} a={a}: successors or reward differ")
                 continue
             row_err = max(row_err, max(abs(row[k] - succ[k]) for k in row))
@@ -328,8 +328,8 @@ def test_criterion_06_finite_horizon_solver_oracle() -> None:
     horizon = 200  # 0.9^200 ~ 7e-10 < 1e-8
     oracle = _oracle_values(ARRIVALS, cap, budget, window, gamma, horizon)
     worst = max(
-        abs(policy.value_of(s) - oracle[(s.w_low, s.w_high, s.history)])
-        for s in model.space.states
+        abs(v - oracle[(s.w_low, s.w_high, s.history)])
+        for v, s in zip(policy.values.tolist(), model.space.states)
     )
     ok = worst < 1e-6
     assert _report(6, ok, f"sup-norm gap {worst:.2e} over {model.space.n} states, horizon {horizon}")

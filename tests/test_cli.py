@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exitqueue import cli
+from exitqueue import cli, mdp
 from exitqueue.cli import HISTOGRAM_HEADER, SIMULATE_HEADER, load_experiment, main
 from exitqueue.errors import NonConvergence
 from exitqueue.mdp import action_values, load_policy
@@ -289,14 +289,24 @@ def test_policy_budget_above_127_is_a_config_error(tmp_path, capsys) -> None:
     assert not (tmp_path / "policies").exists()
 
 
-def test_unallocatable_state_space_is_a_config_error(tmp_path, capsys) -> None:
-    # 1,000,001^2 count pairs x 126 histories: more bytes than an address space holds.
+def test_unallocatable_state_space_is_a_config_error(tmp_path, monkeypatch, capsys) -> None:
+    # 1,000,001^2 count pairs x 126 histories, and 121 count pairs x C(129, 29)
+    # histories: more bytes than an address space holds. The per-state arrays
+    # are refused before any history is built, so a long window cannot fill
+    # memory first.
+    def unreached(*args):
+        raise AssertionError("histories built before the per-state arrays")
+
+    monkeypatch.setattr(mdp, "_histories", unreached)
     text = (CONFIGS / "gamma90.cfg").read_text(encoding="utf-8")
-    text = text.replace("cap = 10\n", "cap = 1000000\n")
-    cfg = _config(tmp_path, text.replace("policies/gamma90", "policies/huge"), "huge.cfg")
-    for command in ("solve", "simulate"):
-        assert main([command, "--config", str(cfg)]) == 2
-        assert "cannot allocate a state space of 126,000,252,000,126 states" in capsys.readouterr().err
+    text = text.replace("policies/gamma90", "policies/huge")
+    for edit, count in ((("cap = 10\n", "cap = 1000000\n"), "126,000,252,000,126"),
+                        (("windows = 5:5\n", "windows = 100:30\n"),
+                         "7,294,452,477,168,252,948,643,846,872,480")):
+        cfg = _config(tmp_path, text.replace(*edit), "huge.cfg")
+        for command in ("solve", "simulate"):
+            assert main([command, "--config", str(cfg)]) == 2
+            assert f"cannot allocate a state space of {count} states" in capsys.readouterr().err
     assert not (tmp_path / "policies").exists()
 
 
@@ -633,6 +643,19 @@ def test_verify_reports_a_failed_check(monkeypatch, capsys) -> None:
     assert [ln for ln in lines if not ln.startswith("PASS ")] == [
         "FAIL greedy prefix dominance (100 instances) (case 0: dominated by (99,))"
     ]
+    monkeypatch.undo()
+
+    # A model whose last arrival outcome lost its mass.
+    def lossy(*args, **kwargs):
+        model = mdp.build_model(*args, **kwargs)
+        model.table.planes[-1] = 0.0
+        return model
+
+    monkeypatch.setattr(cli, "build_model", lossy)
+    assert main(["verify"]) == 5
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 5
+    assert [ln for ln in lines if not ln.startswith("PASS ")] == ["FAIL transition rows sum to 1"]
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ import pytest
 
 from exitqueue import mdp
 from exitqueue.core import Constraint, ConstraintMode, ConstraintSet, ExitRequest, QueueState
-from exitqueue.errors import ConfigError, IllegalAction, ModelMismatch
+from exitqueue.errors import ConfigError, ModelMismatch
 from exitqueue.mdp import (
     ArrivalModel,
     MdpState,
@@ -62,6 +62,14 @@ def _oracle_successors(model: ArrivalModel, cap, window, state, action):
             ns = (min(low_left + k - j, cap), min(high_left + j, cap), nh)
             branch[ns] += pj
     return rew, dict(branch)
+
+
+def _successors(model, i: int, a: int) -> list[tuple[int, float]]:
+    """The spelled-out row of one (state, action): its successors and their
+    probabilities, in the order outcomes first reach them; empty if illegal."""
+    at = model.table.by_action[a]
+    mine = at.src == i
+    return list(zip(at.dst[mine].tolist(), at.prob[mine].tolist()))
 
 
 def _oracle_values(model: ArrivalModel, cap, budget, window, gamma, horizon):
@@ -233,36 +241,24 @@ def test_encode_arrays_matches_scalar_encode() -> None:
 
 def test_reward_examples() -> None:
     model = build_model(FLAGSHIP, cap=10, budget=5, window=1)
-    space = model.space
-    assert model.reward_of(space.encode(MdpState(10, 0, ())), 5) == -5.0
-    assert model.reward_of(space.encode(MdpState(0, 0, ())), 0) == 0.0
+    space, table = model.space, model.table
+    assert table.after_reward[table.after[5, space.encode(MdpState(10, 0, ()))]] == -5.0
+    assert table.after_reward[table.after[0, space.encode(MdpState(0, 0, ()))]] == 0.0
     # Highs are cleared first: one high and one low gone, one low stays.
-    assert model.reward_of(space.encode(MdpState(2, 1, ())), 2) == -1.0
-
-
-def test_model_accessors_reject_actions_outside_the_budget() -> None:
-    model = build_model(FLAGSHIP, cap=3, budget=2, window=2)
-    idx = model.space.encode(MdpState(1, 1, (0,)))
-    for action in (-1, 3):
-        with pytest.raises(IllegalAction, match=f"action {action} outside 0..2"):
-            model.reward_of(idx, action)
-        with pytest.raises(IllegalAction, match=f"action {action} outside 0..2"):
-            model.transitions(idx, action)
-        with pytest.raises(IllegalAction, match=f"action {action} outside 0..2"):
-            model.table.row_sums(action)
+    assert table.after_reward[table.after[2, space.encode(MdpState(2, 1, ()))]] == -1.0
 
 
 def test_transition_rows_sum_to_one() -> None:
     model = build_model(FLAGSHIP, cap=4, budget=2, window=3)
-    for a, at in enumerate(model.table.by_action):
-        sums = model.table.row_sums(a)
-        assert np.max(np.abs(sums - 1.0)) < 1e-12
-        # The per-action view spells out the same rows, in the same order.
-        full = np.bincount(at.src, weights=at.prob, minlength=model.space.n)
-        assert np.array_equal(full[at.legal], sums)
-        for idx in range(model.space.n):
-            mine = at.src == idx
-            assert model.transitions(idx, a) == list(zip(at.dst[mine].tolist(), at.prob[mine].tolist()))
+    space, table = model.space, model.table
+    plane_sums = table.planes.sum(axis=0)
+    assert np.max(np.abs(plane_sums - 1.0)) < 1e-12
+    for after, at in zip(table.after, table.by_action):
+        # The spelled-out rows carry the planes' mass at the after-state's
+        # counts, added in the same order.
+        u = after[at.legal]
+        full = np.bincount(at.src, weights=at.prob, minlength=space.n)
+        assert np.array_equal(full[at.legal], plane_sums[space.w_low[u], space.w_high[u]])
 
 
 def test_transitions_without_arrivals_are_deterministic() -> None:
@@ -270,9 +266,8 @@ def test_transitions_without_arrivals_are_deterministic() -> None:
     model = build_model(quiet, cap=3, budget=2, window=2)
     space = model.space
     idx = space.encode(MdpState(2, 1, (0,)))
-    rows = model.transitions(idx, 2)
-    assert rows == [(space.encode(MdpState(1, 0, (2,))), 1.0)]
-    assert model.transitions(space.encode(MdpState(0, 0, (2,))), 1) == []
+    assert _successors(model, idx, 2) == [(space.encode(MdpState(1, 0, (2,))), 1.0)]
+    assert _successors(model, space.encode(MdpState(0, 0, (2,))), 1) == []
 
 
 def test_saturated_state_merges_all_mass() -> None:
@@ -280,15 +275,8 @@ def test_saturated_state_merges_all_mass() -> None:
     # same successor, so the merged row is a single certain transition.
     model = build_model(FLAGSHIP, cap=10, budget=5, window=1)
     space = model.space
-    rows = model.transitions(space.encode(MdpState(10, 10, ())), 0)
+    rows = _successors(model, space.encode(MdpState(10, 10, ())), 0)
     assert rows == [(space.encode(MdpState(10, 10, ())), pytest.approx(1.0))]
-
-
-def test_illegal_reward_lookup_raises() -> None:
-    model = build_model(FLAGSHIP, cap=2, budget=1, window=2)
-    idx = model.space.encode(MdpState(0, 0, (1,)))
-    with pytest.raises(IllegalAction):
-        model.reward_of(idx, 1)
 
 
 # =============================================================
@@ -302,8 +290,9 @@ def test_single_absorbing_state_matches_geometric_sum() -> None:
     stuck = ArrivalModel(((1, 1.0),), 0.0, 1.0, 10.0)
     model = build_model(stuck, cap=1, budget=0, window=1, discount=0.9)
     policy = value_iteration(model, tolerance=1e-9)
-    assert policy.value_of(MdpState(1, 0, ())) == pytest.approx(-10.0, abs=1e-7)
-    assert policy.value_of(MdpState(0, 0, ())) == pytest.approx(-9.0, abs=1e-7)
+    space = model.space
+    assert policy.values[space.encode(MdpState(1, 0, ()))] == pytest.approx(-10.0, abs=1e-7)
+    assert policy.values[space.encode(MdpState(0, 0, ()))] == pytest.approx(-9.0, abs=1e-7)
 
 
 def test_sweep_differences_contract() -> None:
@@ -324,8 +313,8 @@ def test_solver_matches_finite_horizon_oracle() -> None:
     oracle = _oracle_values(FLAGSHIP, cap, budget, window, gamma, horizon=200)
     assert set(oracle) == {(s.w_low, s.w_high, s.history) for s in model.space.states}
     worst = max(
-        abs(policy.value_of(s) - oracle[(s.w_low, s.w_high, s.history)])
-        for s in model.space.states
+        abs(v - oracle[(s.w_low, s.w_high, s.history)])
+        for v, s in zip(policy.values.tolist(), model.space.states)
     )
     assert worst < 1e-6
 
@@ -374,7 +363,7 @@ _SOLVER_PINS = [
     (_WIDE, 2, 3, 2, 0.95, 416, "8e96deee70c6203d", "7b3011263246e2ff"),
 ]
 
-# SHA-256 prefix of repr() of every successor list, model.transitions(i, a)
+# SHA-256 prefix of repr() of every successor list, _successors(model, i, a)
 # for each action a and state i: the successors in the order outcomes first
 # reach them, with the probabilities merged in outcome order.
 _ROW_PINS = {
@@ -418,7 +407,7 @@ def test_solver_is_pinned_bit_for_bit(shape) -> None:
 def test_transition_rows_are_pinned(shape) -> None:
     model = build_model(*shape[:5])
     pairs = itertools.product(range(model.space.budget + 1), range(model.space.n))
-    rows = repr([model.transitions(i, a) for a, i in pairs])
+    rows = repr([_successors(model, i, a) for a, i in pairs])
     assert hashlib.sha256(rows.encode()).hexdigest()[:16] == _ROW_PINS[_shape_id(shape)]
 
 
@@ -633,7 +622,7 @@ def test_optimal_select_takes_priority_prefix() -> None:
     ]
     state = _queue(reqs, budget=2, window=2)
     chosen = optimal_select(policy, state, FLAGSHIP)
-    want = policy.action_of(MdpState(2, 1, (0,)))
+    want = int(policy.actions[policy.space.encode(MdpState(2, 1, (0,)))])
     assert len(chosen) == min(want, 3)
     if chosen:
         assert chosen[0].validator == "high"

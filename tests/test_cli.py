@@ -289,24 +289,35 @@ def test_policy_budget_above_127_is_a_config_error(tmp_path, capsys) -> None:
     assert not (tmp_path / "policies").exists()
 
 
-def test_unallocatable_state_space_is_a_config_error(tmp_path, monkeypatch, capsys) -> None:
-    # 1,000,001^2 count pairs x 126 histories, and 121 count pairs x C(129, 29)
-    # histories: more bytes than an address space holds. The per-state arrays
-    # are refused before any history is built, so a long window cannot fill
-    # memory first.
+def test_unallocatable_state_space_is_a_config_error(tmp_path, capsys) -> None:
+    # 1,000,001^2 count pairs x 126 histories: more bytes than an address space holds.
+    text = (CONFIGS / "gamma90.cfg").read_text(encoding="utf-8")
+    text = text.replace("cap = 10\n", "cap = 1000000\n")
+    cfg = _config(tmp_path, text.replace("policies/gamma90", "policies/huge"), "huge.cfg")
+    for command in ("solve", "simulate"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "cannot allocate a state space of 126,000,252,000,126 states" in capsys.readouterr().err
+    assert not (tmp_path / "policies").exists()
+
+
+def test_long_window_state_space_is_refused_before_its_histories(
+    tmp_path, monkeypatch, capsys
+) -> None:
+    # 121 count pairs x C(129, 29) histories: the per-state arrays are refused
+    # before any history is built, so a long window cannot fill memory first.
     def unreached(*args):
         raise AssertionError("histories built before the per-state arrays")
 
     monkeypatch.setattr(mdp, "_histories", unreached)
     text = (CONFIGS / "gamma90.cfg").read_text(encoding="utf-8")
-    text = text.replace("policies/gamma90", "policies/huge")
-    for edit, count in ((("cap = 10\n", "cap = 1000000\n"), "126,000,252,000,126"),
-                        (("windows = 5:5\n", "windows = 100:30\n"),
-                         "7,294,452,477,168,252,948,643,846,872,480")):
-        cfg = _config(tmp_path, text.replace(*edit), "huge.cfg")
-        for command in ("solve", "simulate"):
-            assert main([command, "--config", str(cfg)]) == 2
-            assert f"cannot allocate a state space of {count} states" in capsys.readouterr().err
+    text = text.replace("windows = 5:5\n", "windows = 100:30\n")
+    cfg = _config(tmp_path, text.replace("policies/gamma90", "policies/huge"), "huge.cfg")
+    for command in ("solve", "simulate"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert (
+            "cannot allocate a state space of 7,294,452,477,168,252,948,643,846,872,480 states"
+            in capsys.readouterr().err
+        )
     assert not (tmp_path / "policies").exists()
 
 

@@ -23,7 +23,8 @@ run_trial's, as tests pin. The queue's shape picks the engine:
 
   * the count engine, vectorized across trials, takes a discounted run whose
     queue is a pair of class counts: one absolute constraint, two cost points
-    and a cost order, as an optimal policy always has;
+    and a cost order, as an optimal policy always has. It runs one block of
+    trials at a time, so its memory does not grow with the trial count;
   * the unit-stake engine takes every other Mechanism, under either metric.
     With unit stakes a Mechanism processes min(capacity(min_slack), waiting)
     requests whatever its order, so the counts follow from the arrivals
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, repeat
 from operator import truediv
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -385,10 +386,11 @@ def monte_carlo(config: SimulationConfig) -> MonteCarloSummary:
     with np.errstate(over="ignore", invalid="ignore"):
         if not _fastlane_eligible(config):
             return _summarize(_unit_stake_values(config), config)
-        streams, cum = _fastlane_arrays(config)
-        _unit_audit(cum, config, config.seed)
         weights = _discount_weights(config.discount, config.steps)
-        values = [_or_nan(_discounted, row, weights, config.discount) for row in streams]
+        values: list[float] = []
+        for first, streams, cum in _fastlane_blocks(config):
+            _unit_audit(cum, config, first)
+            values += [_or_nan(_discounted, row, weights, config.discount) for row in streams]
         return _summarize(values, config)
 
 
@@ -448,6 +450,15 @@ def make_histogram(values: Sequence[float], bin_width: float = 0.1) -> list[Hist
 # Nor does it need the drawn costs: each trial draws its period counts and
 # one uniform per arrival, as _draw_arrivals does, and keeps only the cost
 # class that uniform maps to, counted per period.
+#
+# Trials are independent, so the engine runs one block of trials at a time:
+# it draws the block, runs its periods, and monte_carlo audits and scores
+# it before the next is drawn. A block holds _BLOCK_CELLS // steps trials
+# (at least one), so memory follows the block, not trials x steps. Each
+# block pays the per-period numpy overhead again: on flagship (350 steps,
+# 1,497 trials a block here) 1 << 15 cells took twice as long, and each
+# doubling past 1 << 19 added about 25 MB of peak RSS for a few percent.
+_BLOCK_CELLS = 1 << 19
 
 
 def _fastlane_eligible(config: SimulationConfig) -> bool:
@@ -483,63 +494,71 @@ def _class_sums(cost_lo: float, cost_hi: float, n_low: int, n_high: int) -> np.n
     )
 
 
-def _fastlane_arrays(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Queue costs (trials x steps) and cumulative processed counts (trials
-    x steps+1), lockstep with run_trial's arrival streams. Queue costs
-    charge the pending queue before removal: run_trial's penalty less the
-    fees, each a class sum from _class_sums."""
-    m, n = config.trials, config.steps
+def _fastlane_blocks(
+    config: SimulationConfig,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield, for each block of trials in trial order, the seed of its first
+    trial, its queue costs (block x steps) and its cumulative processed
+    counts (block x steps+1), lockstep with run_trial's arrival streams.
+    Queue costs charge the pending queue before removal: run_trial's penalty
+    less the fees, each a class sum from _class_sums, whose table every
+    block shares."""
+    n = config.steps
     cost_lo, cost_hi = sorted(float(p) for p in config.values.points)
     budget = int(config.constraints[0].delta)
     window = config.constraints[0].window
 
     # From the ints, not the points: a Discrete may hold floats (5.0 -> float16).
     small = np.min_scalar_type(max(k for k, _ in config.arrival_counts.as_count_dist()))
-    counts = np.empty((m, n), dtype=small)
-    highs = np.empty((m, n), dtype=small)
     # A class is high when its uniform maps to the high point's index, which
     # need not be the last: a Discrete may list its points high-first.
     cdf, high = config.values.cdf, config.values.points.index(max(config.values.points))
     periods = np.arange(n)
-    for i in range(m):
-        rng = np.random.default_rng(config.seed + i)
-        c = np.asarray(config.arrival_counts.sample(rng, n), dtype=np.int64)
-        is_high = draw_indices(rng, cdf, int(c.sum())) == high
-        counts[i] = c
-        highs[i] = np.bincount(periods.repeat(c)[is_high], minlength=n)
 
     mech = config.mechanism
     if not isinstance(mech, OptimalMechanism):
         lookup = np.asarray([mech.capacity(s) for s in range(budget + 1)], dtype=np.int64)
 
-    w_low = np.zeros(m, dtype=np.int64)
-    w_high = np.zeros(m, dtype=np.int64)
-    hist = np.zeros(m, dtype=np.int64)  # history 0: nothing processed yet
-    streams = np.empty((m, n), dtype=np.float64)
-    cum = np.zeros((m, n + 1), dtype=np.int64)
-
-    w_low += counts[:, 0] - highs[:, 0]
-    w_high += highs[:, 0]
     sums = np.zeros((1, 1))
-    for t in range(n):
-        # Waiting counts bound both what is served and what is left.
-        most_low, most_high = int(w_low.max()), int(w_high.max())
-        if most_low >= sums.shape[0] or most_high >= sums.shape[1]:
-            sums = _class_sums(cost_lo, cost_hi, 2 * most_low + 1, 2 * most_high + 1)
-        if isinstance(mech, OptimalMechanism):
-            take = mech.policy.take(w_low, w_high, hist)
-            hist = mech.policy.space.push[hist, take]
-        else:
-            # The window holds what periods t-window+1 .. t-1 processed.
-            slack = budget - (cum[:, t] - cum[:, max(t - window + 1, 0)])
-            take = np.minimum(lookup[slack], w_low + w_high)
-        w_low, w_high, done_low, done_high = serve(w_low, w_high, take)
-        streams[:, t] = -sums[w_low, w_high] - sums[done_low, done_high]
-        np.add(cum[:, t], take, out=cum[:, t + 1])
-        if t + 1 < n:
-            w_high += highs[:, t + 1]
-            w_low += counts[:, t + 1] - highs[:, t + 1]
-    return streams, cum
+    block, stop = max(1, _BLOCK_CELLS // n), config.seed + config.trials
+    for first in range(config.seed, stop, block):
+        m = min(block, stop - first)
+        counts = np.empty((m, n), dtype=small)
+        highs = np.empty((m, n), dtype=small)
+        for i in range(m):
+            rng = np.random.default_rng(first + i)
+            c = np.asarray(config.arrival_counts.sample(rng, n), dtype=np.int64)
+            is_high = draw_indices(rng, cdf, int(c.sum())) == high
+            counts[i] = c
+            highs[i] = np.bincount(periods.repeat(c)[is_high], minlength=n)
+
+        w_low = np.zeros(m, dtype=np.int64)
+        w_high = np.zeros(m, dtype=np.int64)
+        hist = np.zeros(m, dtype=np.int64)  # history 0: nothing processed yet
+        streams = np.empty((m, n), dtype=np.float64)
+        cum = np.zeros((m, n + 1), dtype=np.int64)
+
+        w_low += counts[:, 0] - highs[:, 0]
+        w_high += highs[:, 0]
+        for t in range(n):
+            # Waiting counts bound both what is served and what is left.
+            most_low, most_high = int(w_low.max()), int(w_high.max())
+            if most_low >= sums.shape[0] or most_high >= sums.shape[1]:
+                sums = _class_sums(cost_lo, cost_hi, 2 * most_low + 1, 2 * most_high + 1)
+            if isinstance(mech, OptimalMechanism):
+                take = mech.policy.take(w_low, w_high, hist)
+                hist = mech.policy.space.push[hist, take]
+            else:
+                # The window holds what periods t-window+1 .. t-1 processed.
+                slack = budget - (cum[:, t] - cum[:, max(t - window + 1, 0)])
+                take = np.minimum(lookup[slack], w_low + w_high)
+            w_low, w_high, done_low, done_high = serve(w_low, w_high, take)
+            streams[:, t] = -sums[w_low, w_high] - sums[done_low, done_high]
+            np.add(cum[:, t], take, out=cum[:, t + 1])
+            if t + 1 < n:
+                w_high += highs[:, t + 1]
+                w_low += counts[:, t + 1] - highs[:, t + 1]
+        yield first, streams, cum
 
 
 # =============================================================

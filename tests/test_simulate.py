@@ -11,6 +11,7 @@ import functools
 import heapq
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -516,14 +517,38 @@ def test_count_engine_matches_object_engine_under_steady_state(burn_in) -> None:
         _flagship(_flagship_optimal(), metric="steady-state", discount=None, burn_in=burn_in)
 
 
-def test_count_engine_audits_a_policy_that_breaks_its_window() -> None:
+def _greedy_tampered() -> OptimalMechanism:
+    """The flagship policy with every action set to the whole budget."""
     mech = _flagship_optimal()
-    policy = mech.policy
-    greedy = np.full(policy.actions.size, policy.space.budget, np.int8)
-    tampered = replace(mech, policy=replace(policy, actions=greedy))
-    config = _flagship(tampered)
+    greedy = np.full(mech.policy.actions.size, mech.policy.space.budget, np.int8)
+    return replace(mech, policy=replace(mech.policy, actions=greedy))
+
+
+def _first_greedy_breach(config: SimulationConfig) -> int:
+    """The first seed whose greedy trace breaks the run's window. run_trial
+    cannot run the greedy policy itself (step refuses the breach), so
+    MINSLACK under a one-period window of the same budget serves what it
+    does, min(budget, waiting) each period, and check_trace_feasible audits
+    that trace against the run's constraints."""
+    (c,) = config.constraints
+    greedy = replace(config, mechanism=Mechanism.minslack(),
+                     constraints=ConstraintSet([Constraint(c.delta, 1)]))
+    for seed in range(config.seed, config.seed + config.trials):
+        r = run_trial(greedy, seed)
+        if not check_trace_feasible(r.trace, None, config.constraints):
+            return seed
+    raise AssertionError("no trial breaks the window")
+
+
+def test_count_engine_audits_a_policy_that_breaks_its_window() -> None:
+    # Over five periods the first seed's greedy trace keeps the window, so
+    # the audit must name the trial that breaks it, not the run's first.
+    config = _flagship(_greedy_tampered(), steps=5, trials=10)
     assert _fastlane_eligible(config)
-    with pytest.raises(FeasibilityViolation, match="optimal produced an infeasible trace at seed"):
+    first = _first_greedy_breach(config)
+    assert first > config.seed
+    with pytest.raises(FeasibilityViolation,
+                       match=f"optimal produced an infeasible trace at seed {first}:"):
         monte_carlo(config)
 
 
@@ -753,6 +778,55 @@ def test_monte_carlo_names_the_first_seed_beyond_the_float_range(
     with pytest.raises(ConfigError, match="values must draw costs whose sums stay in the float "
                        f"range; .* leaves it {where}"):
         monte_carlo(config)
+
+
+@pytest.mark.parametrize("block", [1, 7, 100], ids=lambda b: f"block{b}")
+def test_count_engine_runs_the_same_in_any_block_of_trials(block, monkeypatch) -> None:
+    # The count engine runs one block of trials at a time. Blocks of one
+    # trial, of seven, or of more than the run has give run_trial's values,
+    # and name the same seed for an audit or a sum beyond the float range.
+    def in_blocks(config: SimulationConfig) -> MonteCarloSummary:
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", block * config.steps)
+        return monte_carlo(config)
+
+    for mechanism in (_flagship_optimal(), Mechanism.prio_minslack()):
+        config = _flagship(mechanism, steps=60, trials=20, seed=3)
+        assert list(in_blocks(config).values) == [
+            discounted_reward(run_trial(config, seed), 0.9) for seed in range(3, 23)
+        ], mechanism.name
+    tampered = _flagship(_greedy_tampered(), steps=5, trials=10)
+    with pytest.raises(FeasibilityViolation,
+                       match=f"infeasible trace at seed {_first_greedy_breach(tampered)}:"):
+        in_blocks(tampered)
+    # Over three periods seeds 2 and 3 stay in the float range, so the
+    # first seed beyond it is not the run's first.
+    overflow = _flagship(Mechanism.prio_minslack(), steps=3, trials=12, seed=2,
+                         values=Discrete((1e308, 1.7e308), (0.5, 0.5)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = _first_seed_beyond_floats(overflow)
+    assert first > overflow.seed
+    with pytest.raises(ConfigError, match=r"values must draw costs whose sums stay in the "
+                       rf"float range; .* leaves it at seed {first}$"):
+        in_blocks(overflow)
+
+
+def test_count_engine_memory_does_not_grow_with_the_trial_count(monkeypatch) -> None:
+    # Blocks of 64 trials: four times the trials run four times the blocks
+    # in the same memory. An engine that holds every trial at once traces
+    # about 3.5 times the peak here.
+    monkeypatch.setattr(simulate, "_BLOCK_CELLS", 64 * 80)
+
+    def traced_peak(trials: int) -> int:
+        config = _flagship(Mechanism.prio_minslack(), steps=80, trials=trials)
+        tracemalloc.start()
+        try:
+            monte_carlo(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(2)  # first-call allocations are not the run's
+    assert traced_peak(800) <= 1.25 * traced_peak(200)
 
 
 def test_unit_stake_engine_audits_a_capacity_that_breaks_its_window(monkeypatch) -> None:

@@ -25,16 +25,9 @@ __all__ = [
     "ParetoConvention",
     "Pareto",
     "ValueDistribution",
-    "draw_indices",
 ]
 
 _PROB_TOL = 1e-9
-
-
-def draw_indices(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
-    """``size`` indices drawn through ``cdf`` from one uniform each: the rule
-    ``Generator.choice(a, size, p=...)`` runs, so the stream is the same."""
-    return cdf.searchsorted(rng.random(size), side="right")
 
 
 @dataclass(frozen=True)
@@ -42,15 +35,17 @@ class Discrete:
     """Finite distribution over real points (ints for arrival counts).
 
     ``sample`` draws exactly what ``Generator.choice(points, size, p=probs)``
-    draws from the same generator, through ``cdf``: the cumulative sums of
-    ``probs`` divided by their total, as ``choice`` builds them, built once
-    here and read-only so it can be shared.
+    draws from the same generator: one uniform per draw, looked up in
+    ``cdf``, the cumulative sums of ``probs`` divided by their total, as
+    ``choice`` builds them. ``cdf`` and the ``points`` array it indexes are
+    built once here and read-only, so they can be shared.
     ``test_discrete_sample_matches_generator_choice`` pins the two together.
     """
 
     points: tuple[float, ...]
     probs: tuple[float, ...]
     cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    _points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, points, probs) -> None:
         object.__setattr__(self, "points", tuple(points))
@@ -65,14 +60,16 @@ class Discrete:
             raise ConfigError(f"probabilities sum to {sum(self.probs)}, expected 1")
         cdf = np.cumsum(np.asarray(self.probs, dtype=np.float64))
         cdf /= cdf[-1]
-        cdf.flags.writeable = False
+        points = np.asarray(self.points)
+        cdf.flags.writeable = points.flags.writeable = False
         object.__setattr__(self, "cdf", cdf)
+        object.__setattr__(self, "_points", points)
 
     def mean(self) -> float:
         return math.fsum(x * p for x, p in zip(self.points, self.probs))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.asarray(self.points)[draw_indices(rng, self.cdf, size)]
+        return self._points[self.cdf.searchsorted(rng.random(size), side="right")]
 
     def as_count_dist(self) -> tuple[tuple[int, float], ...]:
         """(count, prob) atoms; requires all points to be nonnegative ints."""

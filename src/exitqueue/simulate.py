@@ -18,23 +18,26 @@ recorded. Two metrics summarize a trial:
 
 monte_carlo runs trials at seeds seed, seed+1, ... and aggregates one metric.
 Trials are independent, and every trial draws requests of stake 1 and bid 0.
-Two engines replay the same arrival streams, with results bit-identical to
-run_trial's, as tests pin. The queue's shape picks the engine:
+Two engines draw every trial's arrivals through _draw_arrivals, as run_trial
+does, with results bit-identical to run_trial's, as tests pin. The queue's
+shape picks the engine:
 
   * the count engine, vectorized across trials, takes a discounted run whose
     queue is a pair of class counts: one absolute constraint, two cost points
     and a cost order, as an optimal policy always has. It runs one block of
     trials at a time, so its memory does not grow with the trial count;
-  * the unit-stake engine takes every other Mechanism, under either metric.
-    With unit stakes a Mechanism processes min(capacity(min_slack), waiting)
-    requests whatever its order, so the counts follow from the arrivals
-    alone and the order only decides who leaves. One walk over a trial's
-    periods, which knows no metric, yields its counts and who left; each
-    metric is then scored from them.
+  * the unit-stake engine takes every other Mechanism, under either metric,
+    one trial at a time. With unit stakes a Mechanism processes
+    min(capacity(min_slack), waiting) requests whatever its order, so the
+    counts follow from the arrivals alone and the order only decides who
+    leaves. One walk over a trial's periods, which knows no metric, yields
+    its counts and who left; each metric is then scored from them.
 
-Either engine yields each trial's cumulative processed counts, and one
-audit checks every trial's counts against the constraints before the trial
-is scored. Both sum costs by one exact-sum rule (_exact_units): every
+Either engine yields blocks of trials: the seed of the first, their
+cumulative processed counts, and their values, scored only when read. For
+every block, monte_carlo checks the counts against the initial stake and
+audits them against the constraints, in one place, before it reads the
+values. Both sum costs by one exact-sum rule (_exact_units): every
 finite float is an integer over a power of two, so over their largest
 denominator costs sum exactly in integers, and one division rounds the
 total half to even, as math.fsum rounds the same floats in run_trial.
@@ -74,7 +77,6 @@ from .distributions import (
     Pareto,
     Uniform,
     ValueDistribution,
-    draw_indices,
 )
 from .errors import (
     ConfigError,
@@ -191,10 +193,9 @@ def _draw_arrivals(
     rng: np.random.Generator, steps: int, arrival_counts: Discrete, values: ValueDistribution
 ) -> tuple[np.ndarray, np.ndarray]:
     """A whole trial's arrivals as two bulk draws: the count of every period
-    in one call, then every cost in a second. run_trial and the unit-stake
-    engine replay this stream; the count engine draws the same uniforms
-    but maps each to its cost class, not its cost, so every engine's trial
-    sees identical arrivals."""
+    in one call, then every cost in a second. run_trial and both of
+    monte_carlo's engines draw every trial through here, so each sees
+    identical arrivals."""
     counts = np.asarray(arrival_counts.sample(rng, steps), dtype=np.int64)
     return counts, np.asarray(values.sample(rng, int(counts.sum())), dtype=np.float64)
 
@@ -376,21 +377,24 @@ def _summarize(values: Sequence[float], config: SimulationConfig) -> MonteCarloS
 def monte_carlo(config: SimulationConfig) -> MonteCarloSummary:
     """Run `trials` trials at seeds seed, seed+1, ... and aggregate the metric.
 
-    Every trial's trace is audited against the constraint set before it is
-    scored. A cost sum, trial metric or summary statistic beyond the float
-    range raises ConfigError, naming the first seed whose trial has one.
+    The run's shape picks the engine, which yields its trials in blocks.
+    Every block's counts are checked against the initial stake and audited
+    against the constraint set before its values are read. A cost sum,
+    trial metric or summary statistic beyond the float range raises
+    ConfigError, naming the first seed whose trial has one.
     """
     if isinstance(config.mechanism, OptimalMechanism):
         _check_policy_fits(config.mechanism, config)
+    blocks = _count_blocks if _fastlane_eligible(config) else _unit_blocks
+    values: list[float] = []
     # Out-of-range sums become inf or nan here, and _summarize rejects them.
     with np.errstate(over="ignore", invalid="ignore"):
-        if not _fastlane_eligible(config):
-            return _summarize(_unit_stake_values(config), config)
-        weights = _discount_weights(config.discount, config.steps)
-        values: list[float] = []
-        for first, streams, cum in _fastlane_blocks(config):
+        for first, cum, scores in blocks(config):
+            # As step refuses a run that processes more than its stake.
+            if config.initial_stake is not None and int(cum[..., -1].max()) > config.initial_stake:
+                raise ConfigError("stake_history entries must be nonnegative")
             _unit_audit(cum, config, first)
-            values += [_or_nan(_discounted, row, weights, config.discount) for row in streams]
+            values += scores
         return _summarize(values, config)
 
 
@@ -447,9 +451,8 @@ def make_histogram(values: Sequence[float], bin_width: float = 0.1) -> list[Hist
 # order, which counts alone cannot express, and bids are not counted, so
 # both go to the unit-stake engine. So does the steady-state metric, which
 # needs who left when; SimulationConfig admits no optimal policy under it.
-# Nor does it need the drawn costs: each trial draws its period counts and
-# one uniform per arrival, as _draw_arrivals does, and keeps only the cost
-# class that uniform maps to, counted per period.
+# Each trial draws its arrivals through _draw_arrivals, as run_trial does,
+# and keeps only its per-period counts of all and of high-cost arrivals.
 #
 # Trials are independent, so the engine runs one block of trials at a time:
 # it draws the block, runs its periods, and monte_carlo audits and scores
@@ -494,25 +497,22 @@ def _class_sums(cost_lo: float, cost_hi: float, n_low: int, n_high: int) -> np.n
     )
 
 
-def _fastlane_blocks(
+def _count_blocks(
     config: SimulationConfig,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray, Iterator[float]]]:
     """Yield, for each block of trials in trial order, the seed of its first
-    trial, its queue costs (block x steps) and its cumulative processed
-    counts (block x steps+1), lockstep with run_trial's arrival streams.
-    Queue costs charge the pending queue before removal: run_trial's penalty
-    less the fees, each a class sum from _class_sums, whose table every
-    block shares."""
+    trial, its cumulative processed counts (block x steps+1) and its
+    discounted values, scored when read. Queue costs charge the pending
+    queue before removal: run_trial's penalty less the fees, each a class
+    sum from _class_sums, whose table every block shares."""
     n = config.steps
     cost_lo, cost_hi = sorted(float(p) for p in config.values.points)
     budget = int(config.constraints[0].delta)
     window = config.constraints[0].window
+    weights = _discount_weights(config.discount, n)
 
     # From the ints, not the points: a Discrete may hold floats (5.0 -> float16).
     small = np.min_scalar_type(max(k for k, _ in config.arrival_counts.as_count_dist()))
-    # A class is high when its uniform maps to the high point's index, which
-    # need not be the last: a Discrete may list its points high-first.
-    cdf, high = config.values.cdf, config.values.points.index(max(config.values.points))
     periods = np.arange(n)
 
     mech = config.mechanism
@@ -527,10 +527,9 @@ def _fastlane_blocks(
         highs = np.empty((m, n), dtype=small)
         for i in range(m):
             rng = np.random.default_rng(first + i)
-            c = np.asarray(config.arrival_counts.sample(rng, n), dtype=np.int64)
-            is_high = draw_indices(rng, cdf, int(c.sum())) == high
+            c, costs = _draw_arrivals(rng, n, config.arrival_counts, config.values)
             counts[i] = c
-            highs[i] = np.bincount(periods.repeat(c)[is_high], minlength=n)
+            highs[i] = np.bincount(periods.repeat(c)[costs == cost_hi], minlength=n)
 
         w_low = np.zeros(m, dtype=np.int64)
         w_high = np.zeros(m, dtype=np.int64)
@@ -558,7 +557,7 @@ def _fastlane_blocks(
             if t + 1 < n:
                 w_high += highs[:, t + 1]
                 w_low += counts[:, t + 1] - highs[:, t + 1]
-        yield first, streams, cum
+        yield first, cum, (_or_nan(_discounted, row, weights, config.discount) for row in streams)
 
 
 # =============================================================
@@ -587,8 +586,8 @@ def _unit_walk(
     t-T+1 .. t-1 processed, and its capacity is delta, or in fraction mode
     floor(delta * stake at the anchor t-T), the stake being the initial
     stake less everything processed. ``capacity`` memoizes mech.capacity by
-    slack. Raises ConfigError, as step does, when a run processes more than
-    its initial stake.
+    slack. A run that processes more than its initial stake is walked
+    through; monte_carlo refuses it.
 
     FCFS serves a prefix of the stream. Cost and bid orders keep the waiting
     requests as a heap of ranks from one ``mechanisms._by_cost_desc`` call
@@ -637,8 +636,6 @@ def _unit_walk(
                 push(heap, k)
             popped += [pop(heap) for _ in range(take)]
         cum.append(done + take)
-    if stake0 is not None and cum[-1] > stake0:
-        raise ConfigError("stake_history entries must be nonnegative")
     if heap is None:
         return cum, range(cum[-1])
     return cum, [ranked[k].index for k in popped]
@@ -713,24 +710,23 @@ def _unit_discounted(
     return _discounted(np.asarray(stream), weights, config.discount)
 
 
-def _unit_stake_values(config: SimulationConfig) -> list[float]:
-    """Every trial's metric, trial by trial as run_trial and the metric
-    functions would give them, each failure being the one they raise, but
-    nan where a sum overflows. Each trial's counts are audited before the
-    trial is scored."""
+def _unit_blocks(
+    config: SimulationConfig,
+) -> Iterator[tuple[int, np.ndarray, Iterator[float]]]:
+    """Yield each trial as a block of one, in trial order: its seed, its
+    cumulative processed counts and its metric, scored when read as
+    run_trial and the metric functions would give it, each failure being
+    the one they raise, but nan where a sum overflows."""
     score = _unit_disutility
     if config.metric == "discounted":
         score = partial(_unit_discounted, weights=_discount_weights(config.discount, config.steps))
     capacity: dict[int, int] = {}
-    values = []
-    for i in range(config.trials):
-        rng = np.random.default_rng(config.seed + i)
+    for seed in range(config.seed, config.seed + config.trials):
+        rng = np.random.default_rng(seed)
         counts, costs = _draw_arrivals(rng, config.steps, config.arrival_counts, config.values)
         cum, served = _unit_walk(config, counts.tolist(), costs, capacity)
         cum = np.asarray(cum, dtype=np.int64)
-        _unit_audit(cum, config, config.seed + i)
-        values.append(_or_nan(score, config, counts, costs, cum, served))
-    return values
+        yield seed, cum, map(partial(_or_nan, score, config, counts, costs), [cum], [served])
 
 
 # =============================================================

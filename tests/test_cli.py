@@ -377,6 +377,19 @@ def test_simulate_steady_state_without_arrivals_is_a_config_error(tmp_path, caps
     assert err.startswith("config error: ") and "burn_in = 2" in err
 
 
+def test_simulate_beyond_the_initial_stake_is_a_config_error(tmp_path, capsys) -> None:
+    # gamma90 runs both mechanisms on the count engine, which checks the
+    # stake as run_trial does: 20 trials of 350 periods process more than 50.
+    text = (CONFIGS / "gamma90.cfg").read_text(encoding="utf-8")
+    text = text.replace("windows = 5:5\n", "windows = 5:5\ninitial_stake = 50\n")
+    text = text.replace("trials = 10000\n", "trials = 20\n")
+    cfg = _config(tmp_path, text, "staked.cfg")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: stake_history entries must be nonnegative\n"
+
+
 def test_simulate_with_optimal_solves_and_caches(tmp_path, capsys) -> None:
     text = BASE.replace("list = minslack, prio-minslack, alpha-minslack, constant",
                         "list = optimal, prio-minslack")

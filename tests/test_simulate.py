@@ -47,7 +47,7 @@ from exitqueue.simulate import (
     sample_arrival_schedule,
     steady_state_disutility,
 )
-from exitqueue.simulate import _fastlane_eligible, _unit_audit, _unit_stake_values
+from exitqueue.simulate import _fastlane_eligible, _unit_audit
 
 FLAGSHIP_COUNTS = Discrete((0, 1, 5), (0.5, 0.4, 0.1))
 FLAGSHIP_VALUES = Discrete((1, 10), (0.9, 0.1))
@@ -575,9 +575,8 @@ def test_optimal_policy_that_does_not_fit_the_run_is_a_model_mismatch() -> None:
 # =============================================================
 #
 # Every Mechanism that the count engine does not take runs through the
-# unit-stake engine, which must give run_trial's metric bit for bit. The
-# engine is called directly, so configurations the count engine would take
-# are covered too.
+# unit-stake engine, which must give run_trial's metric bit for bit. Runs
+# here put it on every shape, those the count engine would take too.
 
 _UNIT_MECHANISMS = [
     Mechanism.minslack(),
@@ -610,6 +609,12 @@ _UNIT_VALUES = [
 ]
 
 
+def _unit_stake_values(config: SimulationConfig, monkeypatch) -> list[float]:
+    """monte_carlo's values with the unit-stake engine taking every run."""
+    monkeypatch.setattr(simulate, "_fastlane_eligible", lambda config: False)
+    return list(monte_carlo(config).values)
+
+
 def _object_values(config: SimulationConfig) -> list[float]:
     out = []
     for i in range(config.trials):
@@ -623,7 +628,7 @@ def _object_values(config: SimulationConfig) -> list[float]:
 
 @pytest.mark.parametrize("metric", ["discounted", "steady-state"])
 @pytest.mark.parametrize("mechanism", _UNIT_MECHANISMS, ids=lambda m: f"{m.name}-{m.order}")
-def test_unit_stake_engine_matches_object_engine_bitwise(mechanism, metric) -> None:
+def test_unit_stake_engine_matches_object_engine_bitwise(mechanism, metric, monkeypatch) -> None:
     for label, (constraints, stake) in _UNIT_CONSTRAINTS.items():
         for values in _UNIT_VALUES:
             config = SimulationConfig(
@@ -640,7 +645,7 @@ def test_unit_stake_engine_matches_object_engine_bitwise(mechanism, metric) -> N
                 initial_stake=stake,
             )
             want = _object_values(config)
-            assert _unit_stake_values(config) == want, (label, values)
+            assert _unit_stake_values(config, monkeypatch) == want, (label, values)
 
 
 def test_exact_units_round_as_fsum() -> None:
@@ -720,29 +725,62 @@ def test_unit_stake_engine_takes_its_order_from_by_cost_desc(monkeypatch) -> Non
         metric="steady-state",
         burn_in=20,
     )
-    costliest_first = _unit_stake_values(config)
+    costliest_first = _unit_stake_values(config, monkeypatch)
 
     def cheapest_first(waiting, sort_key):
         return sorted(mechanisms._fcfs(waiting), key=lambda r: r.cost)
 
     monkeypatch.setattr(mechanisms, "_by_cost_desc", cheapest_first)
-    got = _unit_stake_values(config)
+    got = _unit_stake_values(config, monkeypatch)
     assert got != costliest_first
     assert got == _object_values(config)
     assert list(monte_carlo(config).values) == got
 
 
-def test_unit_stake_engine_raises_where_run_trial_does() -> None:
-    # An absolute run that processes more than its initial stake.
-    config = _flagship(Mechanism.minslack(), steps=40, trials=1, initial_stake=3)
-    with pytest.raises(ConfigError, match="nonnegative"):
-        run_trial(config, 0)
-    with pytest.raises(ConfigError, match="nonnegative"):
-        monte_carlo(config)
-    quiet = replace(config, arrival_counts=Discrete((0,), (1.0,)), metric="steady-state",
-                    discount=None, initial_stake=None)
+def test_both_engines_raise_where_run_trial_does() -> None:
+    # An absolute run that processes more than its initial stake, on either
+    # engine: minslack runs the unit-stake engine, prio-minslack and the
+    # optimal policy the count engine.
+    for mechanism in (Mechanism.minslack(), Mechanism.prio_minslack(), _flagship_optimal()):
+        config = _flagship(mechanism, steps=40, trials=3, initial_stake=3)
+        assert _fastlane_eligible(config) == (mechanism.order == "cost"), mechanism.name
+        with pytest.raises(ConfigError, match="stake_history entries must be nonnegative"):
+            run_trial(config, 0)
+        with pytest.raises(ConfigError, match="stake_history entries must be nonnegative"):
+            monte_carlo(config)
+        # A stake no trial uses up changes nothing.
+        ample = replace(config, initial_stake=1_000)
+        assert list(monte_carlo(ample).values) == _object_values(ample), mechanism.name
+    quiet = replace(_flagship(Mechanism.minslack(), steps=40, metric="steady-state", discount=None),
+                    arrival_counts=Discrete((0,), (1.0,)))
     with pytest.raises(NoWithdrawals):
         monte_carlo(quiet)
+
+
+@pytest.mark.parametrize(
+    ("make", "metric", "count_engine"),
+    [(_flagship_optimal, "discounted", True), (Mechanism.prio_minslack, "discounted", True),
+     (Mechanism.minslack, "discounted", False), (Mechanism.prio_minslack, "steady-state", False)],
+    ids=["optimal", "prio-minslack", "minslack", "prio-minslack-steady-state"],
+)
+def test_each_engine_draws_each_trial_once_through_draw_arrivals(make, metric, count_engine,
+                                                                 monkeypatch) -> None:
+    # One routine draws every trial's arrivals, once per trial in seed order,
+    # whichever engine runs; blocks of four trials cross a block boundary.
+    config = _flagship(make(), steps=40, trials=10, seed=11, metric=metric,
+                       discount=0.9 if metric == "discounted" else None, burn_in=5)
+    want = _object_values(config)
+    draw, seeds = simulate._draw_arrivals, []
+
+    def recorded(rng, *args):
+        seeds.append(rng.bit_generator.seed_seq.entropy)
+        return draw(rng, *args)
+
+    monkeypatch.setattr(simulate, "_draw_arrivals", recorded)
+    monkeypatch.setattr(simulate, "_BLOCK_CELLS", 4 * config.steps)
+    assert _fastlane_eligible(config) == count_engine
+    assert list(monte_carlo(config).values) == want
+    assert seeds == list(range(11, 21))
 
 
 def _first_seed_beyond_floats(config: SimulationConfig) -> int | None:
@@ -810,14 +848,23 @@ def test_count_engine_runs_the_same_in_any_block_of_trials(block, monkeypatch) -
         in_blocks(overflow)
 
 
-def test_count_engine_memory_does_not_grow_with_the_trial_count(monkeypatch) -> None:
-    # Blocks of 64 trials: four times the trials run four times the blocks
-    # in the same memory. An engine that holds every trial at once traces
-    # about 3.5 times the peak here.
-    monkeypatch.setattr(simulate, "_BLOCK_CELLS", 64 * 80)
+@pytest.mark.parametrize(
+    ("make", "steps", "trials", "block"),
+    [(Mechanism.prio_minslack, 80, 200, 64), (Mechanism.minslack, 400, 50, None)],
+    ids=["count", "unit-stake"],
+)
+def test_engine_memory_does_not_grow_with_the_trial_count(make, steps, trials, block,
+                                                          monkeypatch) -> None:
+    # Four times the trials run in the same memory. The count engine runs
+    # blocks of 64 trials here; one that holds every trial at once traces
+    # about 3.5 times the peak. The unit-stake engine runs one trial at a
+    # time; one that held a block of _BLOCK_CELLS // steps trials would
+    # trace about 4 times the peak.
+    if block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", block * steps)
 
     def traced_peak(trials: int) -> int:
-        config = _flagship(Mechanism.prio_minslack(), steps=80, trials=trials)
+        config = _flagship(make(), steps=steps, trials=trials)
         tracemalloc.start()
         try:
             monte_carlo(config)
@@ -826,7 +873,7 @@ def test_count_engine_memory_does_not_grow_with_the_trial_count(monkeypatch) -> 
             tracemalloc.stop()
 
     traced_peak(2)  # first-call allocations are not the run's
-    assert traced_peak(800) <= 1.25 * traced_peak(200)
+    assert traced_peak(4 * trials) <= 1.25 * traced_peak(trials)
 
 
 def test_unit_stake_engine_audits_a_capacity_that_breaks_its_window(monkeypatch) -> None:
@@ -847,7 +894,7 @@ def test_unit_stake_engine_audits_a_capacity_that_breaks_its_window(monkeypatch)
                 initial_stake=stake,
             )
             with pytest.raises(FeasibilityViolation, match="infeasible trace at seed 7:"):
-                _unit_stake_values(config)
+                _unit_stake_values(config, monkeypatch)
 
 
 @given(

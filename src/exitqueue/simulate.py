@@ -24,20 +24,22 @@ shape picks the engine:
 
   * the count engine, vectorized across trials, takes a discounted run whose
     queue is a pair of class counts: one absolute constraint, two cost points
-    and a cost order, as an optimal policy always has. It runs one block of
-    trials at a time, so its memory does not grow with the trial count;
-  * the unit-stake engine takes every other Mechanism, under either metric,
-    one trial at a time. With unit stakes a Mechanism processes
-    min(capacity(min_slack), waiting) requests whatever its order, so the
-    counts follow from the arrivals alone and the order only decides who
-    leaves. One walk over a trial's periods, which knows no metric, yields
-    its counts and who left; each metric is then scored from them.
+    and a cost order, as an optimal policy always has;
+  * the unit-stake engine takes every other Mechanism, under either metric.
+    With unit stakes a Mechanism processes min(capacity(min_slack), waiting)
+    requests whatever its order, so the counts follow from the arrivals
+    alone and the order only decides who leaves. One walk over a trial's
+    periods, which knows no metric, yields its counts and who left; each
+    metric is then scored from them, a block of trials at a time.
 
-Either engine yields blocks of trials: the seed of the first, their
-cumulative processed counts, and their values, scored only when read. For
-every block, monte_carlo checks the counts against the initial stake and
-audits them against the constraints, in one place, before it reads the
-values. Both sum costs by one exact-sum rule (_exact_units): every
+Either engine runs one block of trials at a time, so its memory does not
+grow with the trial count, and yields each block: the seed of the first
+trial, their cumulative processed counts, and their values, scored only
+when read. For every block, monte_carlo checks the counts against the
+initial stake and audits them against the constraints, in one place,
+before it reads any of the block's values: a block holding a trial that
+cannot be scored (NoWithdrawals) before one that exceeds the stake
+reports the stake. Both sum costs by one exact-sum rule (_exact_units): every
 finite float is an integer over a power of two, so over their largest
 denominator costs sum exactly in integers, and one division rounds the
 total half to even, as math.fsum rounds the same floats in run_trial.
@@ -58,7 +60,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import truediv
 from typing import Iterator, Sequence
 
@@ -379,7 +381,9 @@ def monte_carlo(config: SimulationConfig) -> MonteCarloSummary:
 
     The run's shape picks the engine, which yields its trials in blocks.
     Every block's counts are checked against the initial stake and audited
-    against the constraint set before its values are read. A cost sum,
+    against the constraint set before any of its values is read, so a
+    breach anywhere in a block is reported before a failure to score an
+    earlier trial of it. A cost sum,
     trial metric or summary statistic beyond the float range raises
     ConfigError, naming the first seed whose trial has one.
     """
@@ -512,12 +516,15 @@ def _count_blocks(
     weights = _discount_weights(config.discount, n)
 
     # From the ints, not the points: a Discrete may hold floats (5.0 -> float16).
-    small = np.min_scalar_type(max(k for k, _ in config.arrival_counts.as_count_dist()))
+    most = max(k for k, _ in config.arrival_counts.as_count_dist())
+    small = np.min_scalar_type(most)
     periods = np.arange(n)
 
     mech = config.mechanism
     if not isinstance(mech, OptimalMechanism):
-        lookup = np.asarray([mech.capacity(s) for s in range(budget + 1)], dtype=np.int64)
+        # Processed never exceeds arrived, so no slack falls below lo.
+        lo = max(0, budget - n * most)
+        lookup = np.asarray([mech.capacity(s) for s in range(lo, budget + 1)], dtype=np.int64)
 
     sums = np.zeros((1, 1))
     block, stop = max(1, _BLOCK_CELLS // n), config.seed + config.trials
@@ -550,7 +557,7 @@ def _count_blocks(
             else:
                 # The window holds what periods t-window+1 .. t-1 processed.
                 slack = budget - (cum[:, t] - cum[:, max(t - window + 1, 0)])
-                take = np.minimum(lookup[slack], w_low + w_high)
+                take = np.minimum(lookup[slack - lo], w_low + w_high)
             w_low, w_high, done_low, done_high = serve(w_low, w_high, take)
             streams[:, t] = -sums[w_low, w_high] - sums[done_low, done_high]
             np.add(cum[:, t], take, out=cum[:, t + 1])
@@ -569,6 +576,16 @@ def _count_blocks(
 # order: the count trace follows from the arrival counts alone. The order
 # only decides who leaves. So one walk, which knows no metric, yields the
 # counts and who left, and each metric is scored from them.
+
+# Trials are independent, so the engine runs one block of trials at a time,
+# as the count engine does: it draws and walks each trial of the block, and
+# monte_carlo checks and audits the whole block before one scorer reads it.
+# A block holds _UNIT_CELLS // steps trials (at least one): 11 at 350 steps,
+# and one 10,000-step trial a block of its own. The walk stays per trial;
+# the block spares the audit and the scorer their per-trial overhead.
+# Blocks of 1 << 14 cells ran no faster, and added 2.0 MB to the peak RSS of
+# `exitqueue simulate` on churn_fraction.cfg (1,000 trials), against 0.7 MB.
+_UNIT_CELLS = 1 << 12
 
 # A drawn request as the queue order sees it (stake 1, bid 0), and its
 # position in the trial's arrival stream.
@@ -647,7 +664,8 @@ def _unit_audit(cum: np.ndarray, config: SimulationConfig, seed: int) -> None:
     ``cum`` holds cumulative processed counts, shape (..., n+1), one row per
     trial at seeds seed, seed+1, ... Every constraint's window from each
     anchor t0 = 0 .. n-1 must fit its capacity at the stake left after
-    period t0; fraction capacities are floored in exact integers.
+    period t0; fraction capacities are floored in exact integers: in int64
+    where every stake times the numerator fits, else in Python ints.
     """
     rows = cum.reshape(-1, cum.shape[-1])
     n = rows.shape[1] - 1
@@ -658,8 +676,14 @@ def _unit_audit(cum: np.ndarray, config: SimulationConfig, seed: int) -> None:
         used = rows.take(np.minimum(np.arange(n) + c.window, n), axis=1)
         used -= opened
         if fraction:
-            stake = config.initial_stake - opened.astype(object)
-            cap = stake * c.delta.numerator // c.delta.denominator
+            num, den = c.delta.numerator, c.delta.denominator
+            # A stake left is at most the initial stake, and at least minus
+            # what was processed.
+            most = max(config.initial_stake, int(rows.max()), 1)
+            fits = most * num < 2**63 and den < 2**63
+            cap = config.initial_stake - (opened if fits else opened.astype(object))
+            cap *= num
+            cap //= den
         else:
             cap = c.delta.numerator
         bad |= (used > cap).any(axis=1)
@@ -672,61 +696,110 @@ def _unit_audit(cum: np.ndarray, config: SimulationConfig, seed: int) -> None:
 
 
 def _unit_disutility(
-    config: SimulationConfig, counts: np.ndarray, costs: np.ndarray, cum: np.ndarray, served
-) -> float:
-    """steady_state_disutility, from who was served in which period."""
-    n = config.steps
-    periods = np.arange(1, n + 1)
-    arrived = np.repeat(periods, counts)
+    config: SimulationConfig, counts: np.ndarray, costs: np.ndarray, cum: np.ndarray,
+    served: np.ndarray,
+) -> Iterator[float]:
+    """steady_state_disutility of each trial of a block, from who was served
+    in which period."""
+    m, n = counts.shape
+    periods = np.tile(np.arange(1, n + 1), m)
+    arrived = np.repeat(periods, counts.ravel())
     done = np.full(costs.size, n + 1)
-    done[served] = np.repeat(periods, np.diff(cum))
+    done[served] = np.repeat(periods, np.diff(cum).ravel())
     # Leftovers are charged as if processed in the final period.
     counted = done > config.burn_in
     delay = np.minimum(done, n)[counted] - arrived[counted]
-    terms = (-costs[counted] * delay).tolist()
-    if not terms:
-        raise NoWithdrawals(f"no withdrawals to average after burn_in = {config.burn_in}")
-    return math.fsum(terms) / len(terms)
+    terms = -costs[counted] * delay
+    trial = np.repeat(np.arange(m), counts.sum(axis=1, dtype=np.int64))[counted]
+    for part in np.split(terms, np.cumsum(np.bincount(trial, minlength=m))[:-1]):
+        if not part.size:
+            raise NoWithdrawals(f"no withdrawals to average after burn_in = {config.burn_in}")
+        yield _or_nan(math.fsum, part.tolist()) / part.size
 
 
 def _unit_discounted(
-    config: SimulationConfig, counts: np.ndarray, costs: np.ndarray, cum: np.ndarray, served,
-    weights: np.ndarray,
-) -> float:
-    """discounted_reward, from who was served in which period.
+    config: SimulationConfig, counts: np.ndarray, costs: np.ndarray, cum: np.ndarray,
+    served: np.ndarray, weights: np.ndarray,
+) -> Iterator[float]:
+    """discounted_reward of each trial of a block, from who was served in
+    which period. A trial with a non-finite cost scores nan."""
+    finite = np.isfinite(costs)
+    bad = np.zeros(counts.shape[0], dtype=bool)
+    bad[np.repeat(np.arange(bad.size), counts.sum(axis=1, dtype=np.int64))[~finite]] = True
+    streams = _unit_streams(counts, np.where(finite, costs, 0.0), cum, served)
+    for row, nan in zip(streams, bad.tolist()):
+        yield math.nan if nan else _or_nan(_discounted, row, weights, config.discount)
 
-    ``came`` sums the exact costs in arrival order and ``went`` in
-    processing order. Period t's queue cost is run_trial's penalty (arrived
-    through t less processed through t) plus the costs processed in t.
+
+def _unit_streams(
+    counts: np.ndarray, costs: np.ndarray, cum: np.ndarray, served: np.ndarray
+) -> np.ndarray:
+    """Each trial's queue cost per period (block x steps): run_trial's
+    penalty (arrived through t less processed through t) plus the costs
+    processed in t, each a sum rounded as math.fsum rounds it.
+
+    The block's costs become exact units over one scale (_exact_units of its
+    distinct costs). ``came`` sums them in arrival order and ``went`` in
+    processing order, over the whole block; a trial's sums are differences
+    from where its own stretch of each starts.
     """
-    units, scale = _exact_units(costs.tolist())
-    came = list(accumulate(units, initial=0))
-    went = list(accumulate(map(units.__getitem__, served), initial=0))
-    ends = cum.tolist()
-    stream = [
-        -((came[a] - went[d]) / scale) - ((went[d] - went[d0]) / scale)
-        for a, d0, d in zip(accumulate(counts.tolist()), ends, ends[1:])
-    ]
-    return _discounted(np.asarray(stream), weights, config.discount)
+    points, which = np.unique(costs, return_inverse=True)
+    units, scale = _exact_units(points.tolist())
+    total = sum(u * k for u, k in zip(units, np.bincount(which, minlength=len(units)).tolist()))
+    # Below 2**53 every sum is an int64 that converts to a float exactly, and
+    # over a float scale a float division rounds as the int division does.
+    exact = total < 2**53 and scale <= 2**1023
+    units = np.array(units, dtype=np.int64 if exact else object)[which]
+
+    def over_scale(x: np.ndarray) -> np.ndarray:
+        if exact:
+            return x / float(scale)
+        return np.frompyfunc(lambda u: _or_nan(truediv, u, scale), 1, 1)(x).astype(np.float64)
+
+    came = np.cumsum(np.concatenate([[0], units]))
+    went = np.cumsum(np.concatenate([[0], units[served]]))
+    arrivals = counts.sum(axis=1, dtype=np.int64)
+    a0 = (np.cumsum(arrivals) - arrivals)[:, None]
+    d0 = (np.cumsum(cum[:, -1]) - cum[:, -1])[:, None]
+    gone = went[cum + d0]
+    waiting = came[np.cumsum(counts, axis=1, dtype=np.int64) + a0]
+    waiting -= gone[:, 1:]
+    waiting += went[d0] - came[a0]
+    streams = over_scale(waiting)
+    np.negative(streams, out=streams)
+    streams -= over_scale(np.diff(gone))
+    return streams
 
 
 def _unit_blocks(
     config: SimulationConfig,
 ) -> Iterator[tuple[int, np.ndarray, Iterator[float]]]:
-    """Yield each trial as a block of one, in trial order: its seed, its
-    cumulative processed counts and its metric, scored when read as
-    run_trial and the metric functions would give it, each failure being
-    the one they raise, but nan where a sum overflows."""
+    """Yield, for each block of trials in trial order, the seed of its first
+    trial, its cumulative processed counts (block x steps+1) and its
+    metric values, scored when read as run_trial and the metric functions
+    would give them, each failure being the one they raise, but nan where a
+    sum overflows."""
+    n = config.steps
     score = _unit_disutility
     if config.metric == "discounted":
-        score = partial(_unit_discounted, weights=_discount_weights(config.discount, config.steps))
+        score = partial(_unit_discounted, weights=_discount_weights(config.discount, n))
+    small = np.min_scalar_type(max(k for k, _ in config.arrival_counts.as_count_dist()))
     capacity: dict[int, int] = {}
-    for seed in range(config.seed, config.seed + config.trials):
-        rng = np.random.default_rng(seed)
-        counts, costs = _draw_arrivals(rng, config.steps, config.arrival_counts, config.values)
-        cum, served = _unit_walk(config, counts.tolist(), costs, capacity)
-        cum = np.asarray(cum, dtype=np.int64)
-        yield seed, cum, map(partial(_or_nan, score, config, counts, costs), [cum], [served])
+    block, stop = max(1, _UNIT_CELLS // n), config.seed + config.trials
+    for first in range(config.seed, stop, block):
+        m = min(block, stop - first)
+        counts = np.empty((m, n), dtype=small)
+        cum = np.empty((m, n + 1), dtype=np.int64)
+        costs, served, pos = [], [], 0
+        for i in range(m):
+            rng = np.random.default_rng(first + i)
+            counts[i], drawn = _draw_arrivals(rng, n, config.arrival_counts, config.values)
+            cum[i], went = _unit_walk(config, counts[i].tolist(), drawn, capacity)
+            costs.append(drawn)
+            served.append(np.fromiter(went, np.int64, len(went)) + pos)  # into the block
+            pos += drawn.size
+        costs, served = np.concatenate(costs), np.concatenate(served)
+        yield first, cum, score(config, counts, costs, cum, served)
 
 
 # =============================================================

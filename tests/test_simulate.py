@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exitqueue.core import (
@@ -32,7 +32,13 @@ from exitqueue.core import (
 )
 from exitqueue.distributions import Discrete, Exponential, Pareto, Uniform
 from exitqueue import mechanisms, simulate
-from exitqueue.errors import ConfigError, FeasibilityViolation, ModelMismatch, NoWithdrawals
+from exitqueue.errors import (
+    ConfigError,
+    FeasibilityViolation,
+    InfeasibleProcessing,
+    ModelMismatch,
+    NoWithdrawals,
+)
 from exitqueue.mdp import ArrivalModel, OptimalMechanism, build_model, value_iteration
 from exitqueue.mechanisms import Mechanism
 from exitqueue.simulate import (
@@ -489,6 +495,22 @@ def test_count_engine_matches_object_engine_at_long_and_unit_windows() -> None:
             assert summary.values[i] == discounted_reward(r, config.discount), window
 
 
+def test_count_engine_capacity_lookup_spans_only_reachable_slacks() -> None:
+    # No window holds more than steps x the largest arrival count, so a
+    # heuristic's capacity lookup covers 201 slacks here, not two million.
+    config = replace(_flagship(Mechanism.prio_minslack(), steps=40, trials=3),
+                     constraints=ConstraintSet([Constraint(2_000_000, 5)]))
+    assert _fastlane_eligible(config)
+    tracemalloc.start()
+    try:
+        values = list(monte_carlo(config).values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == _object_values(config)
+    assert peak < 10 * 2**20
+
+
 @functools.cache
 def _flagship_optimal() -> OptimalMechanism:
     arrivals = ArrivalModel(FLAGSHIP_COUNTS.as_count_dist(), 0.1, 1.0, 10.0)
@@ -648,25 +670,28 @@ def test_unit_stake_engine_matches_object_engine_bitwise(mechanism, metric, monk
             assert _unit_stake_values(config, monkeypatch) == want, (label, values)
 
 
+# Sums that math.fsum rounds, at the ties and the ends of the float range.
+_FSUM_CASES = [
+    [2.0**53, 1.0],  # 2^53 + 1 ties down to even
+    [2.0**53 + 2, 1.0],  # and up
+    [2.0**53, 1.0, 2.0],
+    [1.0, 2.0**-53],  # half of 2^-52 above 1.0 ties down
+    [1.0 + 2.0**-52, 2.0**-53],  # and up
+    [1.0, 2.0**-53, 2.0**-106],  # just past the tie
+    [5e-324, 1.0],  # a subnormal
+    [5e-324, 5e-324, 2.0**-1022],
+    [1 / 3, 1 / 3, 1 / 3],
+    [0.1] * 10,
+    [1 / 3, 2 / 3, 1e-12, 10.0, 1e16],
+    [1e16, 1.0, -1e16],
+    [],
+]
+
+
 def test_exact_units_round_as_fsum() -> None:
     # The exact-sum rule both engines use: a sum of units over the scale is
     # the float math.fsum gives for the same costs, and overflows as it does.
-    cases = [
-        [2.0**53, 1.0],  # 2^53 + 1 ties down to even
-        [2.0**53 + 2, 1.0],  # and up
-        [2.0**53, 1.0, 2.0],
-        [1.0, 2.0**-53],  # half of 2^-52 above 1.0 ties down
-        [1.0 + 2.0**-52, 2.0**-53],  # and up
-        [1.0, 2.0**-53, 2.0**-106],  # just past the tie
-        [5e-324, 1.0],  # a subnormal
-        [5e-324, 5e-324, 2.0**-1022],
-        [1 / 3, 1 / 3, 1 / 3],
-        [0.1] * 10,
-        [1 / 3, 2 / 3, 1e-12, 10.0, 1e16],
-        [1e16, 1.0, -1e16],
-        [],
-    ]
-    for xs in cases:
+    for xs in _FSUM_CASES:
         units, scale = simulate._exact_units(xs)
         assert sum(units) / scale == math.fsum(xs), xs
         assert [u / scale for u in units] == xs
@@ -675,6 +700,72 @@ def test_exact_units_round_as_fsum() -> None:
         math.fsum([1.7e308, 1.7e308])
     with pytest.raises(OverflowError):
         sum(units) / scale
+
+
+def _one_a_period(trials: list[list[float]]) -> tuple[np.ndarray, ...]:
+    """A unit-stake block (counts, costs, cum, served) whose trials each draw
+    all their costs in period 1 and serve one a period, in arrival order,
+    with one period to spare."""
+    n = max(map(len, trials)) + 1
+    counts = np.zeros((len(trials), n), dtype=np.int64)
+    counts[:, 0] = [len(xs) for xs in trials]
+    cum = np.array([[min(t, len(xs)) for t in range(n + 1)] for xs in trials])
+    costs = np.array([x for xs in trials for x in xs], dtype=np.float64)
+    return counts, costs, cum, np.arange(costs.size)
+
+
+def _fsum_or_nan(xs: list[float]) -> float:
+    try:
+        return math.fsum(xs)
+    except OverflowError:
+        return math.nan
+
+
+@pytest.mark.parametrize(
+    ("trials", "int64"),
+    [([[2.0**52], [2.0**52 - 1, 0.0]], True), ([[2.0**52], [2.0**52 - 1, 1.0]], False),
+     ([[1 / 3], [2.0**-30, 2.0**-54]], True), ([[1.7e308], [1.7e308, 1.7e308]], False),
+     ([xs for xs in _FSUM_CASES if min(xs, default=0) >= 0], False)],
+    ids=["total-below-2^53", "total-at-2^53", "scale-2^54", "sums-overflow", "fsum-cases"],
+)
+def test_unit_stake_scorer_rounds_each_period_as_fsum(trials, int64, monkeypatch) -> None:
+    # The block scorer sums in int64 while the block's unit total is below
+    # 2**53 and its scale at most 2**1023, else in Python ints; the fsum
+    # cases hold a subnormal cost (scale 2**1074). Either way each period's
+    # queue cost is run_trial's: the fsum of the costs still waiting, and of
+    # those processed, or nan where a sum leaves the float range.
+    counts, costs, cum, served = _one_a_period(trials)
+    calls, or_nan = [], simulate._or_nan
+
+    def counted(f, *args):
+        calls.append(args)
+        return or_nan(f, *args)
+
+    monkeypatch.setattr(simulate, "_or_nan", counted)
+    with np.errstate(over="ignore"):
+        got = simulate._unit_streams(counts, costs, cum, served)
+    assert (not calls) == int64
+    want = [[-_fsum_or_nan(xs[t:]) - _fsum_or_nan(xs[t - 1 : t]) if t <= len(xs) else -0.0
+             for t in range(1, counts.shape[1] + 1)] for xs in trials]
+    np.testing.assert_array_equal(got, want)
+
+
+def test_unit_stake_scorer_scores_only_the_trial_with_an_infinite_cost_nan() -> None:
+    # Seed 4 alone of seeds 0-11 draws an infinite cost over four periods;
+    # all twelve trials share one block, whose other trials keep run_trial's
+    # values, and _summarize names seed 4.
+    config = _flagship(Mechanism.minslack(), steps=4, trials=12, values=Pareto(0.005, 1.0))
+    assert not _fastlane_eligible(config)
+    assert config.trials <= simulate._UNIT_CELLS // config.steps
+    ((_, _, scores),) = simulate._unit_blocks(config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = list(scores)
+    want = _object_values(config)
+    assert [seed for seed, v in enumerate(got) if math.isnan(v)] == [4]
+    assert got[:4] + got[5:] == want[:4] + want[5:]
+    assert math.isinf(want[4])
+    with pytest.raises(ConfigError, match="leaves it at seed 4$"):
+        monte_carlo(config)
 
 
 def test_monte_carlo_runs_mechanisms_without_run_trial(monkeypatch) -> None:
@@ -848,6 +939,65 @@ def test_count_engine_runs_the_same_in_any_block_of_trials(block, monkeypatch) -
         in_blocks(overflow)
 
 
+@pytest.mark.parametrize("block", [1, 7, 100], ids=lambda b: f"block{b}")
+def test_unit_stake_engine_runs_the_same_in_any_block_of_trials(block, monkeypatch) -> None:
+    # The unit-stake engine runs one block of trials at a time too. Blocks of
+    # one trial, of seven, or of more than the run has give run_trial's
+    # values under either metric and mode, and name the same seed for an
+    # audit breach or a sum beyond the float range.
+    def in_blocks(config: SimulationConfig) -> MonteCarloSummary:
+        monkeypatch.setattr(simulate, "_UNIT_CELLS", block * config.steps)
+        return monte_carlo(config)
+
+    monkeypatch.setattr(simulate, "_fastlane_eligible", lambda config: False)
+    for label in ("absolute", "fraction"):
+        constraints, stake = _UNIT_CONSTRAINTS[label]
+        for metric, discount in (("discounted", 0.9), ("steady-state", None)):
+            def run(mechanism, **kw) -> SimulationConfig:
+                config = _flagship(mechanism, metric=metric, discount=discount, **kw)
+                return replace(config, constraints=constraints, initial_stake=stake)
+
+            for mechanism, values in ((Mechanism.minslack(), FLAGSHIP_VALUES),
+                                      (Mechanism.prio_minslack(), Uniform(0.0, 1.0))):
+                config = run(mechanism, steps=60, trials=20, seed=3, values=values)
+                assert list(in_blocks(config).values) == _object_values(config), (label, metric)
+            # Over four periods seed 0 keeps its windows at a capacity one
+            # above the slack, and seeds 2 and 3 stay in the float range.
+            tampered = run(Mechanism.prio_minslack(), steps=4, trials=10)
+            with monkeypatch.context() as m:
+                m.setattr(Mechanism, "capacity", lambda self, slack: slack + 1)
+                first = _first_seed_run_trial_refuses(tampered)
+                assert first > tampered.seed
+                with pytest.raises(FeasibilityViolation, match=f"at seed {first}:"):
+                    in_blocks(tampered)
+            overflow = run(Mechanism.minslack(), steps=4, trials=12, seed=2,
+                           values=Discrete((1e308, 1.7e308), (0.5, 0.5)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                first = _first_seed_beyond_floats(overflow)
+            assert first > overflow.seed
+            with pytest.raises(ConfigError, match=r"values must draw costs whose sums stay in "
+                               rf"the float range; .* leaves it at seed {first}$"):
+                in_blocks(overflow)
+    # Seed 20 draws nothing over three periods, and seed 21 exits more than
+    # the stake. A block of one scores seed 20 before it reaches seed 21; a
+    # larger block checks the stake of both before it scores either.
+    quiet_then_over = _flagship(Mechanism.minslack(), steps=3, trials=2, seed=20,
+                                metric="steady-state", discount=None, initial_stake=1)
+    with pytest.raises(NoWithdrawals if block == 1 else ConfigError,
+                       match="no withdrawals" if block == 1 else "stake_history"):
+        in_blocks(quiet_then_over)
+
+
+def _first_seed_run_trial_refuses(config: SimulationConfig) -> int:
+    """The first seed whose run_trial refuses what its mechanism selects."""
+    for seed in range(config.seed, config.seed + config.trials):
+        try:
+            run_trial(config, seed)
+        except InfeasibleProcessing:
+            return seed
+    raise AssertionError("every trial keeps its windows")
+
+
 @pytest.mark.parametrize(
     ("make", "steps", "trials", "block"),
     [(Mechanism.prio_minslack, 80, 200, 64), (Mechanism.minslack, 400, 50, None)],
@@ -857,9 +1007,9 @@ def test_engine_memory_does_not_grow_with_the_trial_count(make, steps, trials, b
                                                           monkeypatch) -> None:
     # Four times the trials run in the same memory. The count engine runs
     # blocks of 64 trials here; one that holds every trial at once traces
-    # about 3.5 times the peak. The unit-stake engine runs one trial at a
-    # time; one that held a block of _BLOCK_CELLS // steps trials would
-    # trace about 4 times the peak.
+    # about 3.5 times the peak. The unit-stake engine runs blocks of
+    # _UNIT_CELLS // steps trials (10 at 400 steps); one that held every
+    # trial at once would trace about 4 times the peak.
     if block is not None:
         monkeypatch.setattr(simulate, "_BLOCK_CELLS", block * steps)
 
@@ -897,6 +1047,10 @@ def test_unit_stake_engine_audits_a_capacity_that_breaks_its_window(monkeypatch)
                 _unit_stake_values(config, monkeypatch)
 
 
+# stake x numerator = 2**63 - 1 is the largest the int64 capacities take;
+# 2**63 takes Python ints, which the strategy's stakes never reach.
+@example(totals=[6, 0, 6], windows=[(7, 2)], fraction=True, stake=(2**63 - 1) // 7, others=[])
+@example(totals=[6, 0, 6], windows=[(1, 2)], fraction=True, stake=2**63, others=[])
 @given(
     totals=st.lists(st.integers(0, 6), min_size=1, max_size=12),
     windows=st.lists(st.tuples(st.integers(0, 8), st.integers(1, 5)), min_size=1, max_size=3),

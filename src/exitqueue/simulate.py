@@ -27,10 +27,10 @@ shape picks the engine:
     and a cost order, as an optimal policy always has;
   * the unit-stake engine takes every other Mechanism, under either metric.
     With unit stakes a Mechanism processes min(capacity(min_slack), waiting)
-    requests whatever its order, so the counts follow from the arrivals
-    alone and the order only decides who leaves. One walk over a trial's
-    periods, which knows no metric, yields its counts and who left; each
-    metric is then scored from them, a block of trials at a time.
+    requests whatever its order, so a count pass gives a trial's counts from
+    its arrivals alone. An order pass finds who left, a prefix of the
+    arrivals wherever the order ranks them in arrival order. Each metric is
+    then scored from the counts and who left, a block of trials at a time.
 
 Either engine runs one block of trials at a time, so its memory does not
 grow with the trial count, and yields each block: the seed of the first
@@ -55,11 +55,11 @@ such a trial scores nan, and monte_carlo raises ConfigError for the first.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import heappop, heappush
 from itertools import repeat
 from operator import truediv
 from typing import Iterator, Sequence
@@ -573,18 +573,18 @@ def _count_blocks(
 #
 # Every request a trial draws has stake 1 and bid 0, so a Mechanism processes
 # exactly min(capacity(min_slack), waiting) requests each period, in any
-# order: the count trace follows from the arrival counts alone. The order
-# only decides who leaves. So one walk, which knows no metric, yields the
-# counts and who left, and each metric is scored from them.
+# order: a count pass, which knows neither order nor metric, gives the counts
+# from the arrival counts alone. The order decides only who leaves (under FCFS
+# a prefix of the arrivals), and each metric is scored from counts and leavers.
 
 # Trials are independent, so the engine runs one block of trials at a time,
-# as the count engine does: it draws and walks each trial of the block, and
-# monte_carlo checks and audits the whole block before one scorer reads it.
+# as the count engine does: it runs both passes on each trial of the block,
+# and monte_carlo checks and audits the block before one scorer reads it, so
+# the audit and the scorer pay their overhead per block, not per trial.
 # A block holds _UNIT_CELLS // steps trials (at least one): 11 at 350 steps,
-# and one 10,000-step trial a block of its own. The walk stays per trial;
-# the block spares the audit and the scorer their per-trial overhead.
-# Blocks of 1 << 14 cells ran no faster, and added 2.0 MB to the peak RSS of
-# `exitqueue simulate` on churn_fraction.cfg (1,000 trials), against 0.7 MB.
+# and one 10,000-step trial a block of its own. Blocks of 1 << 14 cells ran
+# no faster, and added 2.0 MB to the peak RSS of `exitqueue simulate` on
+# churn_fraction.cfg (1,000 trials), against 0.7 MB.
 _UNIT_CELLS = 1 << 12
 
 # A drawn request as the queue order sees it (stake 1, bid 0), and its
@@ -592,70 +592,66 @@ _UNIT_CELLS = 1 << 12
 _Arrival = namedtuple("_Arrival", "cost bid index")
 
 
-def _unit_walk(
-    config: SimulationConfig, counts: list[int], costs: np.ndarray, capacity: dict[int, int]
-) -> tuple[list[int], Sequence[int]]:
-    """One pass over a trial's periods: the cumulative processed counts
-    (entry k is the total over periods 1..k) and the arrival-stream indices
-    served, in processing order.
-
-    The window of constraint (delta, T) at period t holds what periods
-    t-T+1 .. t-1 processed, and its capacity is delta, or in fraction mode
-    floor(delta * stake at the anchor t-T), the stake being the initial
-    stake less everything processed. ``capacity`` memoizes mech.capacity by
-    slack. A run that processes more than its initial stake is walked
-    through; monte_carlo refuses it.
-
-    FCFS serves a prefix of the stream. Cost and bid orders keep the waiting
-    requests as a heap of ranks from one ``mechanisms._by_cost_desc`` call
-    over ``_Arrival`` records, looked up at call time: a stable sort, so its
-    order restricted to any waiting list is the order ``select`` gives that
-    list.
-    """
-    mech = config.mechanism
+def _unit_counts(
+    config: SimulationConfig, counts: list[int], capacity: dict[int, int]
+) -> list[int]:
+    """The count pass: a trial's cumulative processed counts, entry k being
+    the total over periods 1..k. The window of constraint (delta, T) at
+    period t holds what periods t-T+1 .. t-1 processed; its capacity is
+    delta, or in fraction mode floor(delta * stake at the anchor t-T), the
+    initial stake less what periods 1..t-T processed. ``capacity`` memoizes
+    the mechanism's capacity by slack. A run that processes more than its
+    initial stake is walked through; monte_carlo refuses it."""
     fraction = config.constraints.mode is ConstraintMode.FRACTION_OF_STAKE
     stake0 = config.initial_stake
     limits = [(c.window, c.delta.numerator, c.delta.denominator) for c in config.constraints]
-    heap: list[int] | None = None
-    if mech.order != "fcfs":
-        cost = costs.tolist()
-        arrivals = list(map(_Arrival, cost, repeat(0.0), range(len(cost))))
-        ranked = mechanisms._by_cost_desc(arrivals, mech.order)
-        rank = [0] * len(ranked)
-        for k, a in enumerate(ranked):
-            rank[a.index] = k
-        heap = []
-        push, pop = heapq.heappush, heapq.heappop
-    cum = [0]
-    popped: list[int] = []  # ranks, in processing order
-    pos = 0  # requests arrived so far
+    cum, done, pos = [0], 0, 0  # done: processed so far; pos: arrived so far
     for t, arrived in enumerate(counts, start=1):
-        done = cum[-1]
-        # x: processed before the window opens (pre-genesis anchors read 0).
-        if fraction:
-            free = min([
-                (stake0 - x) * num // den + x - done
-                for w, num, den in limits
-                for x in (cum[t - w] if t > w else 0,)
-            ])
-        else:
-            free = min([num + (cum[t - w] if t > w else 0) - done for w, num, _ in limits])
+        free = math.inf
+        for w, num, den in limits:
+            # x: processed before the window opens (pre-genesis anchors read 0).
+            x = cum[t - w] if t > w else 0
+            x += (stake0 - x) * num // den - done if fraction else num - done
+            if x < free:
+                free = x
         if free < 0:
             free = 0
         take = capacity.get(free)
         if take is None:
-            take = capacity[free] = mech.capacity(free)
+            take = capacity[free] = config.mechanism.capacity(free)
         pos += arrived  # requests done .. pos-1 wait
         if take > pos - done:
             take = pos - done
-        if heap is not None:  # the heap holds the waiting ranks; the take smallest leave
-            for k in rank[pos - arrived : pos]:
-                push(heap, k)
-            popped += [pop(heap) for _ in range(take)]
-        cum.append(done + take)
-    if heap is None:
-        return cum, range(cum[-1])
-    return cum, [ranked[k].index for k in popped]
+        done += take
+        cum.append(done)
+    return cum
+
+
+def _unit_order(order: str, counts: list[int], costs: np.ndarray, cum: list[int]) -> np.ndarray:
+    """The order pass: the arrival-stream indices a trial served under a
+    cost or bid order, in processing order, given its cumulative counts.
+    The ranking is one ``mechanisms._by_cost_desc`` call over ``_Arrival``
+    records, looked up at call time: a stable sort, so its order restricted
+    to any waiting list is the order ``select`` gives that list. Where it is
+    the arrival order (one cost level, or bids, which all tie), the first
+    cum[-1] arrivals leave. Otherwise a heap of the waiting ranks replays
+    the trial: each period pushes what arrived, then pops what it processed.
+    """
+    arrivals = list(map(_Arrival, costs.tolist(), repeat(0.0), range(costs.size)))
+    ranked = np.array([a.index for a in mechanisms._by_cost_desc(arrivals, order)], np.int64)
+    stream = np.arange(costs.size)
+    if np.array_equal(ranked, stream):
+        return stream[: cum[-1]]
+    rank = np.empty_like(ranked)
+    rank[ranked] = stream
+    rank, heap, popped, pos = rank.tolist(), [], [], 0  # popped: ranks, in processing order
+    for arrived, done, later in zip(counts, cum, cum[1:]):
+        if arrived:
+            for k in rank[pos : pos + arrived]:
+                heappush(heap, k)
+            pos += arrived
+        popped += [heappop(heap) for _ in range(later - done)]
+    return ranked[popped]
 
 
 def _unit_audit(cum: np.ndarray, config: SimulationConfig, seed: int) -> None:
@@ -784,6 +780,7 @@ def _unit_blocks(
     if config.metric == "discounted":
         score = partial(_unit_discounted, weights=_discount_weights(config.discount, n))
     small = np.min_scalar_type(max(k for k, _ in config.arrival_counts.as_count_dist()))
+    order = config.mechanism.order
     capacity: dict[int, int] = {}
     block, stop = max(1, _UNIT_CELLS // n), config.seed + config.trials
     for first in range(config.seed, stop, block):
@@ -794,9 +791,12 @@ def _unit_blocks(
         for i in range(m):
             rng = np.random.default_rng(first + i)
             counts[i], drawn = _draw_arrivals(rng, n, config.arrival_counts, config.values)
-            cum[i], went = _unit_walk(config, counts[i].tolist(), drawn, capacity)
+            arrived = counts[i].tolist()
+            cum[i] = walked = _unit_counts(config, arrived, capacity)
+            went = (np.arange(walked[-1]) if order == "fcfs"
+                    else _unit_order(order, arrived, drawn, walked))
             costs.append(drawn)
-            served.append(np.fromiter(went, np.int64, len(went)) + pos)  # into the block
+            served.append(went + pos)  # into the block
             pos += drawn.size
         costs, served = np.concatenate(costs), np.concatenate(served)
         yield first, cum, score(config, counts, costs, cum, served)

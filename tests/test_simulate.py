@@ -628,6 +628,7 @@ _UNIT_VALUES = [
     Exponential(0.5),
     Exponential(1e12),
     Pareto(2.0, 5.0),
+    Discrete((1.0,), (1.0,)),  # homogeneous stakers: every ranking is the arrival order
 ]
 
 
@@ -826,6 +827,25 @@ def test_unit_stake_engine_takes_its_order_from_by_cost_desc(monkeypatch) -> Non
     assert got != costliest_first
     assert got == _object_values(config)
     assert list(monte_carlo(config).values) == got
+
+
+def test_unit_stake_engine_follows_the_ranking_not_the_costs(monkeypatch) -> None:
+    # With one cost level the ranking is the arrival order, and the engine
+    # serves a prefix of the stream. It must tell that from the ranking:
+    # under a last-come-first-served ranking the same costs serve in
+    # another order, as select does.
+    config = _flagship(Mechanism.prio_minslack(), steps=200, trials=3,
+                       values=Discrete((1.0,), (1.0,)), metric="steady-state", discount=None,
+                       burn_in=20)
+    fcfs = _object_values(replace(config, mechanism=Mechanism.minslack()))
+
+    def last_first(waiting, sort_key):
+        return list(reversed(waiting))
+
+    monkeypatch.setattr(mechanisms, "_by_cost_desc", last_first)
+    got = list(monte_carlo(config).values)
+    assert got == _object_values(config)
+    assert got != fcfs
 
 
 def test_both_engines_raise_where_run_trial_does() -> None:

@@ -23,8 +23,8 @@ does, with results bit-identical to run_trial's, as tests pin. The queue's
 shape picks the engine:
 
   * the count engine, vectorized across trials, takes a discounted run whose
-    queue is a pair of class counts: one absolute constraint, two cost points
-    and a cost order, as an optimal policy always has;
+    queue is a pair of class counts: one cost level under any order, or two
+    under the cost order, as an optimal policy always has;
   * the unit-stake engine takes every other Mechanism, under either metric.
     With unit stakes a Mechanism processes min(capacity(min_slack), waiting)
     requests whatever its order, so a count pass gives a trial's counts from
@@ -41,8 +41,8 @@ before it reads any of the block's values: a block holding a trial that
 cannot be scored (NoWithdrawals) before one that exceeds the stake
 reports the stake. Both sum costs by one exact-sum rule (_exact_units): every
 finite float is an integer over a power of two, so over their largest
-denominator costs sum exactly in integers, and one division rounds the
-total half to even, as math.fsum rounds the same floats in run_trial.
+denominator costs sum exactly in integers, and one conversion (_over_scale)
+rounds each sum half to even, as math.fsum rounds the same floats in run_trial.
 
 SimulationConfig is the one gate on a run. It checks once that the cost
 distribution has finite parameters and draws no negative cost, so neither
@@ -448,15 +448,15 @@ def make_histogram(values: Sequence[float], bin_width: float = 0.1) -> list[Hist
 # Vectorized count engine
 # =============================================================
 #
-# Restricted to discounted runs whose dynamics are a function of the
-# (low, high) waiting counts: two cost levels, unit stakes, one absolute
-# constraint and a highest-cost-first order, as every optimal policy that
-# passes _check_policy_fits has. FCFS orders interleave classes by arrival
-# order, which counts alone cannot express, and bids are not counted, so
-# both go to the unit-stake engine. So does the steady-state metric, which
-# needs who left when; SimulationConfig admits no optimal policy under it.
-# Each trial draws its arrivals through _draw_arrivals, as run_trial does,
-# and keeps only its per-period counts of all and of high-cost arrivals.
+# Takes the discounted runs whose queue is a pair of class counts: one cost
+# level under any order, or two under the cost order, in either mode and
+# under any number of windows, as every optimal policy that passes
+# _check_policy_fits has. FCFS and bid orders interleave two classes by
+# arrival, which counts cannot express, and the steady-state metric needs
+# who left when, so those go to the unit-stake engine. Each trial draws its
+# arrivals through _draw_arrivals, as run_trial does, and keeps only its
+# per-period counts of all and of high-cost arrivals. A heuristic's period
+# loop is the recurrence of _unit_counts, through _free_tables.
 #
 # Trials are independent, so the engine runs one block of trials at a time:
 # it draws the block, runs its periods, and monte_carlo audits and scores
@@ -465,18 +465,16 @@ def make_histogram(values: Sequence[float], bin_width: float = 0.1) -> list[Hist
 # block pays the per-period numpy overhead again: on flagship (350 steps,
 # 1,497 trials a block here) 1 << 15 cells took twice as long, and each
 # doubling past 1 << 19 added about 25 MB of peak RSS for a few percent.
+# The same overhead makes a call of a few trials slower here than on the
+# unit-stake engine: at 350 steps they are even at about 11 trials.
 _BLOCK_CELLS = 1 << 19
 
 
 def _fastlane_eligible(config: SimulationConfig) -> bool:
-    if config.metric != "discounted":
+    if config.metric != "discounted" or not isinstance(config.values, Discrete):
         return False
-    cs = config.constraints
-    if cs.mode is not ConstraintMode.ABSOLUTE_COUNT or len(cs) != 1:
-        return False
-    if not isinstance(config.values, Discrete) or len(config.values.points) != 2:
-        return False
-    return config.mechanism.order == "cost"
+    levels = len(config.values.points)
+    return levels == 1 or (levels == 2 and config.mechanism.order == "cost")
 
 
 def _check_policy_fits(mech: OptimalMechanism, config: SimulationConfig) -> None:
@@ -491,14 +489,48 @@ def _check_policy_fits(mech: OptimalMechanism, config: SimulationConfig) -> None
         )
 
 
-def _class_sums(cost_lo: float, cost_hi: float, n_low: int, n_high: int) -> np.ndarray:
-    """sums[a, b] is the cost of a low and b high requests, exactly summed,
-    or nan where that sum leaves the float range: the table runs past the
-    counts any trial has reached."""
-    (lo, hi), scale = _exact_units((cost_lo, cost_hi))
-    return np.array(
-        [[_or_nan(truediv, lo * a + hi * b, scale) for b in range(n_high)] for a in range(n_low)]
-    )
+def _free_tables(config: SimulationConfig, reach: int) -> tuple[np.ndarray, list]:
+    """A heuristic's capacity lookup and one table per window, for trials
+    that process at most ``reach`` requests. As in _unit_counts, window
+    (delta, T) frees F(x) - done in period t, where x = cum[t-T], done =
+    cum[t-1] and F(x) = x + delta, or x + floor(delta * (stake0 - x)) in
+    fraction mode. As 0 <= x <= done <= reach, the least of them, clamped at
+    0, is a slack lo + i, whose capacity is lookup[i]; a table holds F(x) - lo
+    for x = 0 .. reach. Both are capped where no read sees the excess (no
+    trial has more than reach waiting), so both fit int64."""
+    cs = config.constraints
+    stake0 = config.initial_stake if cs.mode is ConstraintMode.FRACTION_OF_STAKE else None
+
+    def spare(c, x):  # F(x) - x, nonincreasing in x
+        num, den = c.delta.numerator, c.delta.denominator
+        return num if stake0 is None else (stake0 - x) * num // den
+
+    lo = max(0, min(spare(c, reach) for c in cs) - reach)
+    hi = min(spare(c, 0) for c in cs)
+    capacity = config.mechanism.capacity
+    lookup = np.array([min(capacity(s), reach) for s in range(lo, hi + 1)], dtype=np.int64)
+    # Python ints wherever an intermediate could pass int64.
+    big = max(max(c.delta.numerator * (stake0 or 1), c.delta.denominator) for c in cs) + reach
+    xs = np.arange(reach + 1, dtype=np.int64 if big < 2**62 else object)
+    tables = [(c.window, np.minimum(xs + spare(c, xs) - lo, hi - lo + reach).astype(np.int64))
+              for c in cs]
+    return lookup, tables
+
+
+def _over_scale(units: np.ndarray, scale: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact sums of units over ``scale`` as floats, each rounded once as
+    math.fsum rounds the costs, or nan past the float range: int64 and
+    Python ints convert correctly rounded in bulk, and only a block where
+    one overflows divides each alone. The scale is a power of two, at most
+    2**1074, so the product never rounds: one below 2**-1021 comes from a
+    sum below 2**53, which converts exactly, a multiple of 2**-1074."""
+    if units.dtype == object:
+        try:
+            units = units.astype(np.float64)
+        except OverflowError:
+            divide = np.frompyfunc(lambda u: _or_nan(truediv, u, scale), 1, 1)
+            return divide(units).astype(np.float64)
+    return np.multiply(units, math.ldexp(1.0, 1 - scale.bit_length()), out=out)
 
 
 def _count_blocks(
@@ -507,63 +539,81 @@ def _count_blocks(
     """Yield, for each block of trials in trial order, the seed of its first
     trial, its cumulative processed counts (block x steps+1) and its
     discounted values, scored when read. Queue costs charge the pending
-    queue before removal: run_trial's penalty less the fees, each a class
-    sum from _class_sums, whose table every block shares."""
+    queue before removal: run_trial's penalty less the fees, each a sum of
+    class units over one scale."""
     n = config.steps
-    cost_lo, cost_hi = sorted(float(p) for p in config.values.points)
-    budget = int(config.constraints[0].delta)
-    window = config.constraints[0].window
+    points = sorted(float(p) for p in config.values.points)
+    units, scale = _exact_units(points)
+    u_low, u_extra = units[0], units[-1] - units[0]  # a high request's units over a low one's
+    two = len(points) == 2
     weights = _discount_weights(config.discount, n)
 
     # From the ints, not the points: a Discrete may hold floats (5.0 -> float16).
     most = max(k for k, _ in config.arrival_counts.as_count_dist())
     small = np.min_scalar_type(most)
     periods = np.arange(n)
+    # No queue holds more than n * most requests, so below 2**53 no sum rounds
+    # and a period's cost is one sum; past it, what stays and what leaves
+    # round apart, as run_trial rounds them. Rounding apart in every run
+    # cost churn-fraction 28% and flagship 7% of their trial steps a second
+    # (benchmarks/run.py, 2 cores).
+    exact = units[-1] * n * most < 2**53
+
+    def queue_units(waiting: np.ndarray, high: np.ndarray) -> np.ndarray:
+        if not exact and max(int(waiting.max()), 1) * units[-1] >= 2**63:  # past int64
+            waiting, high = waiting.astype(object), high.astype(object)
+        return waiting * u_low + high * u_extra if two else waiting * u_low
 
     mech = config.mechanism
-    if not isinstance(mech, OptimalMechanism):
-        # Processed never exceeds arrived, so no slack falls below lo.
-        lo = max(0, budget - n * most)
-        lookup = np.asarray([mech.capacity(s) for s in range(lo, budget + 1)], dtype=np.int64)
+    optimal = isinstance(mech, OptimalMechanism)
+    if not optimal:
+        lookup, tables = _free_tables(config, n * most)
 
-    sums = np.zeros((1, 1))
     block, stop = max(1, _BLOCK_CELLS // n), config.seed + config.trials
     for first in range(config.seed, stop, block):
         m = min(block, stop - first)
         counts = np.empty((m, n), dtype=small)
-        highs = np.empty((m, n), dtype=small)
+        highs = np.empty((m, n), dtype=small) if two else None
         for i in range(m):
             rng = np.random.default_rng(first + i)
             c, costs = _draw_arrivals(rng, n, config.arrival_counts, config.values)
             counts[i] = c
-            highs[i] = np.bincount(periods.repeat(c)[costs == cost_hi], minlength=n)
+            if two:
+                highs[i] = np.bincount(periods.repeat(c)[costs == points[1]], minlength=n)
 
-        w_low = np.zeros(m, dtype=np.int64)
-        w_high = np.zeros(m, dtype=np.int64)
+        waiting = np.zeros(m, dtype=np.int64)
+        high = np.zeros(m, dtype=np.int64)  # of the waiting, of high cost
         hist = np.zeros(m, dtype=np.int64)  # history 0: nothing processed yet
         streams = np.empty((m, n), dtype=np.float64)
         cum = np.zeros((m, n + 1), dtype=np.int64)
-
-        w_low += counts[:, 0] - highs[:, 0]
-        w_high += highs[:, 0]
         for t in range(n):
-            # Waiting counts bound both what is served and what is left.
-            most_low, most_high = int(w_low.max()), int(w_high.max())
-            if most_low >= sums.shape[0] or most_high >= sums.shape[1]:
-                sums = _class_sums(cost_lo, cost_hi, 2 * most_low + 1, 2 * most_high + 1)
-            if isinstance(mech, OptimalMechanism):
-                take = mech.policy.take(w_low, w_high, hist)
+            waiting += counts[:, t]
+            if two:
+                high += highs[:, t]
+            if optimal:
+                take = mech.policy.take(waiting - high, high, hist)
                 hist = mech.policy.space.push[hist, take]
             else:
-                # The window holds what periods t-window+1 .. t-1 processed.
-                slack = budget - (cum[:, t] - cum[:, max(t - window + 1, 0)])
-                take = np.minimum(lookup[slack - lo], w_low + w_high)
-            w_low, w_high, done_low, done_high = serve(w_low, w_high, take)
-            streams[:, t] = -sums[w_low, w_high] - sums[done_low, done_high]
+                # Each window's anchor: what periods 1 .. t-window+1 processed.
+                free = None
+                for w, table in tables:
+                    x = table[cum[:, max(t - w + 1, 0)]]
+                    free = x if free is None else np.minimum(free, x, out=free)
+                free -= cum[:, t]
+                take = lookup[np.maximum(free, 0, out=free)]
+                np.minimum(take, waiting, out=take)
+            queued = queue_units(waiting, high)
+            if two:
+                _, high, _, _ = serve(waiting - high, high, take)
+            waiting -= take
+            if exact:
+                streams[:, t] = queued
+            else:
+                left = queue_units(waiting, high)
+                streams[:, t] = -_over_scale(left, scale) - _over_scale(queued - left, scale)
             np.add(cum[:, t], take, out=cum[:, t + 1])
-            if t + 1 < n:
-                w_high += highs[:, t + 1]
-                w_low += counts[:, t + 1] - highs[:, t + 1]
+        if exact:
+            np.negative(_over_scale(streams, scale, out=streams), out=streams)
         yield first, cum, (_or_nan(_discounted, row, weights, config.discount) for row in streams)
 
 
@@ -742,15 +792,8 @@ def _unit_streams(
     points, which = np.unique(costs, return_inverse=True)
     units, scale = _exact_units(points.tolist())
     total = sum(u * k for u, k in zip(units, np.bincount(which, minlength=len(units)).tolist()))
-    # Below 2**53 every sum is an int64 that converts to a float exactly, and
-    # over a float scale a float division rounds as the int division does.
-    exact = total < 2**53 and scale <= 2**1023
-    units = np.array(units, dtype=np.int64 if exact else object)[which]
-
-    def over_scale(x: np.ndarray) -> np.ndarray:
-        if exact:
-            return x / float(scale)
-        return np.frompyfunc(lambda u: _or_nan(truediv, u, scale), 1, 1)(x).astype(np.float64)
+    # Every sum of the block is at most its total.
+    units = np.array(units, dtype=np.int64 if total < 2**63 else object)[which]
 
     came = np.cumsum(np.concatenate([[0], units]))
     went = np.cumsum(np.concatenate([[0], units[served]]))
@@ -761,9 +804,9 @@ def _unit_streams(
     waiting = came[np.cumsum(counts, axis=1, dtype=np.int64) + a0]
     waiting -= gone[:, 1:]
     waiting += went[d0] - came[a0]
-    streams = over_scale(waiting)
+    streams = _over_scale(waiting, scale)
     np.negative(streams, out=streams)
-    streams -= over_scale(np.diff(gone))
+    streams -= _over_scale(np.diff(gone), scale)
     return streams
 
 

@@ -14,6 +14,7 @@ import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from exitqueue.core import (
     step,
 )
 from exitqueue.distributions import Discrete, Exponential, Pareto, Uniform
-from exitqueue import mechanisms, simulate
+from exitqueue import cli, mechanisms, simulate
 from exitqueue.errors import (
     ConfigError,
     FeasibilityViolation,
@@ -394,34 +395,36 @@ def test_steady_state_requires_processing_activity() -> None:
 
 
 def test_fastlane_routing() -> None:
-    assert _fastlane_eligible(_flagship(Mechanism.prio_minslack()))
-    assert _fastlane_eligible(_flagship(Mechanism.alpha_minslack("0.9")))
-    assert _fastlane_eligible(_flagship(Mechanism.constant(2)))
-    assert not _fastlane_eligible(_flagship(Mechanism.minslack()))
-    assert not _fastlane_eligible(_flagship(Mechanism.constant(2, sort_key="fcfs")))
-    assert not _fastlane_eligible(
-        _flagship(Mechanism.prio_minslack(), metric="steady-state", discount=None)
-    )
-    three_point = SimulationConfig(
-        constraints=ABS_25,
-        mechanism=Mechanism.prio_minslack(),
-        arrival_counts=FLAGSHIP_COUNTS,
-        values=Discrete((1, 5, 10), (0.8, 0.1, 0.1)),
-        steps=10,
-        discount=0.9,
-    )
-    assert not _fastlane_eligible(three_point)
-    two_window = ConstraintSet([Constraint(2, 5), Constraint(4, 10)])
-    assert not _fastlane_eligible(
-        SimulationConfig(
-            constraints=two_window,
-            mechanism=Mechanism.prio_minslack(),
-            arrival_counts=FLAGSHIP_COUNTS,
-            values=FLAGSHIP_VALUES,
-            steps=10,
-            discount=0.9,
-        )
-    )
+    # The count engine takes every discounted run whose queue two class
+    # counts describe: one cost level under any order, or two under the cost
+    # order, which serves the costlier class first; in either mode, under
+    # any number of windows. An FCFS or bid order interleaves two classes
+    # by arrival, and the steady-state metric needs who left when.
+    one_level = Discrete((1.0,), (1.0,))
+    two_windows = ConstraintSet([Constraint(2, 5), Constraint(4, 10)])
+    fraction = ConstraintSet([Constraint("1/50", 1), Constraint("1/20", 6)], _FRACTION)
+    cost_orders = (Mechanism.prio_minslack(), Mechanism.alpha_minslack("0.9"),
+                   Mechanism.constant(2))
+    by_arrival = (Mechanism.minslack(), Mechanism.constant(2, sort_key="fcfs"),
+                  Mechanism.prio_minslack(sort_key="bid"))
+    for mechanism in cost_orders:
+        assert _fastlane_eligible(_flagship(mechanism))
+        assert _fastlane_eligible(replace(_flagship(mechanism), constraints=two_windows))
+        assert _fastlane_eligible(replace(_flagship(mechanism), constraints=fraction,
+                                          initial_stake=200))
+    for mechanism in cost_orders + by_arrival:
+        assert _fastlane_eligible(_flagship(mechanism, values=one_level))
+        assert _fastlane_eligible(replace(_flagship(mechanism, values=one_level),
+                                          constraints=fraction, initial_stake=200))
+        for values in (one_level, FLAGSHIP_VALUES):
+            assert not _fastlane_eligible(
+                _flagship(mechanism, values=values, metric="steady-state", discount=None))
+        for values in (Discrete((1, 5, 10), (0.8, 0.1, 0.1)), Uniform(0.0, 1.0),
+                       Pareto(2.0, 5.0)):
+            assert not _fastlane_eligible(_flagship(mechanism, values=values))
+    for mechanism in by_arrival:
+        assert not _fastlane_eligible(_flagship(mechanism))
+        assert not _fastlane_eligible(replace(_flagship(mechanism), constraints=two_windows))
 
 
 @pytest.mark.parametrize(
@@ -450,9 +453,9 @@ def test_count_engine_matches_object_engine_bitwise(mechanism) -> None:
             assert summary.values[i] == discounted_reward(r, config.discount), values
 
 
-def test_count_engine_ignores_class_sums_no_trial_reaches() -> None:
-    # The class-sum table runs to twice the counts reached. Here any two
-    # costs overflow, but the queue never holds two, so every trial is finite.
+def test_count_engine_scores_finite_where_no_queue_holds_two_costs() -> None:
+    # Any two of these costs overflow, but the queue never holds two, so
+    # every queue sum converts and every trial is finite.
     config = SimulationConfig(
         constraints=ConstraintSet([Constraint(1, 1)]),
         mechanism=Mechanism.prio_minslack(),
@@ -509,6 +512,111 @@ def test_count_engine_capacity_lookup_spans_only_reachable_slacks() -> None:
         tracemalloc.stop()
     assert values == _object_values(config)
     assert peak < 10 * 2**20
+
+
+def test_count_engine_capacity_lookup_spans_only_reachable_slacks_in_fraction_mode() -> None:
+    # A fraction window's capacity falls by at most what was processed, so
+    # at a capacity of two million the lookup covers 301 slacks here.
+    config = replace(_flagship(Mechanism.prio_minslack(), steps=40, trials=3),
+                     constraints=ConstraintSet([Constraint("1/2", 5)], _FRACTION),
+                     initial_stake=4_000_000)
+    assert _fastlane_eligible(config)
+    tracemalloc.start()
+    try:
+        values = list(monte_carlo(config).values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == _object_values(config)
+    assert peak < 10 * 2**20
+
+
+def test_count_engine_matches_object_engine_on_every_shape_it_takes() -> None:
+    bundled = Path(__file__).resolve().parent.parent / "configs"
+    spec = cli.load_experiment(bundled / "churn_fraction.cfg")
+    churn = [replace(spec.sim_config(m), trials=3) for m in cli._mechanisms(spec)]
+    assert [c.mechanism.order for c in churn] == ["fcfs", "fcfs", "cost"]
+    thirds = Discrete((1 / 3,), (1.0,))  # not integral, so each sum rounds
+    two_windows = ConstraintSet([Constraint(2, 3), Constraint(5, 8)])
+    # 3/10**30 of a stake of 10**30 is a capacity of 3, then 2 once one exits;
+    # 1/50 of it passes int64, and so do both windows' tables before capping.
+    huge = ConstraintSet([Constraint(Fraction(3, 10**30), 4), Constraint("1/50", 1)], _FRACTION)
+    configs = churn + [
+        _flagship(Mechanism.minslack(), values=thirds),
+        _flagship(Mechanism.prio_minslack(sort_key="bid"), values=thirds),
+        replace(_flagship(Mechanism.alpha_minslack("0.9")), constraints=two_windows),
+        replace(_flagship(Mechanism.prio_minslack(), values=Discrete((1 / 3, 2 / 3), (0.9, 0.1))),
+                constraints=two_windows),
+        replace(_flagship(Mechanism.prio_minslack()), constraints=huge, initial_stake=10**30),
+        replace(_flagship(Mechanism.minslack(), values=thirds), constraints=huge,
+                initial_stake=10**30),
+        # Capacities of about 2e28 and of 10**20, past int64: minslack's
+        # capacity is the slack itself.
+        replace(_flagship(Mechanism.minslack(), values=thirds), initial_stake=10**30,
+                constraints=ConstraintSet([Constraint("1/50", 1)], _FRACTION)),
+        replace(_flagship(Mechanism.minslack(), values=thirds),
+                constraints=ConstraintSet([Constraint(10**20, 5)])),
+        # Five a period fill a (300, 100) window by period 61, and its slack
+        # falls to the least that the lookup spans.
+        replace(_flagship(Mechanism.alpha_minslack("0.9"), steps=70, values=thirds),
+                arrival_counts=Discrete((5,), (1.0,)),
+                constraints=ConstraintSet([Constraint(300, 100)])),
+        # Ten requests of 2**50 + 1 wait and nine stay: the nine round, so
+        # their cost and the one served do not sum to the ten's, and halving
+        # keeps the difference.
+        replace(_flagship(Mechanism.minslack(), steps=1, trials=1, discount=0.5,
+                          values=Discrete((2.0**50 + 1,), (1.0,))),
+                arrival_counts=Discrete((10,), (1.0,)),
+                constraints=ConstraintSet([Constraint(1, 1)])),
+        # A cost of 1.0 is 2**55 units over the scale of 0.1, so the queue's
+        # units may pass int64 once it holds 256, from period 12, and sum in
+        # Python ints in every period where they may.
+        replace(_flagship(Mechanism.prio_minslack(), steps=20, trials=2,
+                          values=Discrete((0.1, 1.0), (0.5, 0.5))),
+                arrival_counts=Discrete((24,), (1.0,)),
+                constraints=ConstraintSet([Constraint(5, 5)])),
+    ]
+    for config in configs:
+        assert _fastlane_eligible(config)
+        assert list(monte_carlo(config).values) == _object_values(config), config
+
+
+def test_count_engine_counts_as_the_unit_stake_engine_past_a_breach(monkeypatch) -> None:
+    # A capacity map one above the slack overfills the window, so the slack
+    # falls below zero, where both count passes read the capacity at zero.
+    # They give the same counts, which monte_carlo then refuses.
+    monkeypatch.setattr(Mechanism, "capacity", lambda self, slack: slack + 1)
+    for constraints, stake in _UNIT_CONSTRAINTS.values():
+        config = replace(_flagship(Mechanism.minslack(), values=Discrete((1.0,), (1.0,))),
+                         constraints=constraints, initial_stake=stake)
+        assert _fastlane_eligible(config)
+        np.testing.assert_array_equal(
+            *(np.concatenate([cum for _, cum, _ in blocks(config)])
+              for blocks in (simulate._count_blocks, simulate._unit_blocks)))
+
+
+def test_count_engine_memory_does_not_grow_with_the_queue() -> None:
+    # 24 arrivals a period against a budget of one: the queue grows by 23 a
+    # period, to 1,380 over 60. Each period's cost is a sum of class units,
+    # not a read of a table over every pair of class counts reached.
+    config = SimulationConfig(
+        constraints=ConstraintSet([Constraint(5, 5)]),
+        mechanism=Mechanism.prio_minslack(),
+        arrival_counts=Discrete((24,), (1.0,)),
+        values=FLAGSHIP_VALUES,
+        steps=60,
+        trials=3,
+        discount=0.9,
+    )
+    assert _fastlane_eligible(config)
+    tracemalloc.start()
+    try:
+        values = list(monte_carlo(config).values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == _object_values(config)
+    assert peak < 4 * 2**20
 
 
 @functools.cache
@@ -703,6 +811,26 @@ def test_exact_units_round_as_fsum() -> None:
         sum(units) / scale
 
 
+def test_over_scale_divides_as_python_ints_do() -> None:
+    # The one conversion of exact-unit sums both engines score through: int64
+    # below 2**63, Python ints in bulk, and one element at a time where a sum
+    # does not convert (2**1024 or more) all give the int division, or nan
+    # where the quotient leaves the float range. Near 2**62 a float's spacing
+    # is 2**10, so int64 sums there tie, and round half to even.
+    near_int64_top = [[2.0**62, 2.0**9], [2.0**62 + 2.0**10, 2.0**9], [2.0**62, 2.0**9, 1.0]]
+    for xs in _FSUM_CASES + near_int64_top + [[1.7e308, 1.7e308], [5e-324, 2.0**1000, 2.0**1000]]:
+        if min(xs, default=0) < 0:
+            continue
+        units, scale = simulate._exact_units(xs)
+        sums = np.cumsum(np.array([0] + units, dtype=object))
+        want = [_fsum_or_nan(xs[:j]) for j in range(len(xs) + 1)]
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(simulate._over_scale(sums, scale), want)
+            if sums[-1] < 2**63:
+                np.testing.assert_array_equal(
+                    simulate._over_scale(sums.astype(np.int64), scale), want)
+
+
 def _one_a_period(trials: list[list[float]]) -> tuple[np.ndarray, ...]:
     """A unit-stake block (counts, costs, cum, served) whose trials each draw
     all their costs in period 1 and serve one a period, in arrival order,
@@ -723,18 +851,19 @@ def _fsum_or_nan(xs: list[float]) -> float:
 
 
 @pytest.mark.parametrize(
-    ("trials", "int64"),
-    [([[2.0**52], [2.0**52 - 1, 0.0]], True), ([[2.0**52], [2.0**52 - 1, 1.0]], False),
-     ([[1 / 3], [2.0**-30, 2.0**-54]], True), ([[1.7e308], [1.7e308, 1.7e308]], False),
-     ([xs for xs in _FSUM_CASES if min(xs, default=0) >= 0], False)],
+    "trials",
+    [[[2.0**52], [2.0**52 - 1, 0.0]], [[2.0**52], [2.0**52 - 1, 1.0]],
+     [[1 / 3], [2.0**-30, 2.0**-54]], [[1.7e308], [1.7e308, 1.7e308]],
+     [xs for xs in _FSUM_CASES if min(xs, default=0) >= 0]],
     ids=["total-below-2^53", "total-at-2^53", "scale-2^54", "sums-overflow", "fsum-cases"],
 )
-def test_unit_stake_scorer_rounds_each_period_as_fsum(trials, int64, monkeypatch) -> None:
+def test_unit_stake_scorer_rounds_each_period_as_fsum(trials, monkeypatch) -> None:
     # The block scorer sums in int64 while the block's unit total is below
-    # 2**53 and its scale at most 2**1023, else in Python ints; the fsum
-    # cases hold a subnormal cost (scale 2**1074). Either way each period's
-    # queue cost is run_trial's: the fsum of the costs still waiting, and of
-    # those processed, or nan where a sum leaves the float range.
+    # 2**63, else in Python ints, and _over_scale divides one sum at a time
+    # only where one reaches 2**1024; the fsum cases hold a subnormal cost
+    # (scale 2**1074). Either way each period's queue cost is run_trial's:
+    # the fsum of the costs still waiting, and of those processed, or nan
+    # where a sum leaves the float range.
     counts, costs, cum, served = _one_a_period(trials)
     calls, or_nan = [], simulate._or_nan
 
@@ -745,10 +874,21 @@ def test_unit_stake_scorer_rounds_each_period_as_fsum(trials, int64, monkeypatch
     monkeypatch.setattr(simulate, "_or_nan", counted)
     with np.errstate(over="ignore"):
         got = simulate._unit_streams(counts, costs, cum, served)
-    assert (not calls) == int64
+    assert bool(calls) == (max(simulate._exact_units(costs.tolist())[0], default=0) >= 2**1024)
     want = [[-_fsum_or_nan(xs[t:]) - _fsum_or_nan(xs[t - 1 : t]) if t <= len(xs) else -0.0
              for t in range(1, counts.shape[1] + 1)] for xs in trials]
     np.testing.assert_array_equal(got, want)
+
+
+def test_unit_stake_scorer_sums_past_int64_in_python_ints() -> None:
+    # Int64 sums convert correctly rounded, and a block whose unit total
+    # reaches 2**63 sums in Python ints: period 1 leaves its total waiting,
+    # 2**63 - 2**10 in the first block and 2**63 in the second.
+    for trials in ([[0.0, 2.0**62, 2.0**62 - 2.0**10]], [[0.0, 2.0**62, 2.0**62]]):
+        counts, costs, cum, served = _one_a_period(trials)
+        want = [[-math.fsum(xs[t:]) - math.fsum(xs[t - 1 : t]) if t <= len(xs) else -0.0
+                 for t in range(1, counts.shape[1] + 1)] for xs in trials]
+        np.testing.assert_array_equal(simulate._unit_streams(counts, costs, cum, served), want)
 
 
 def test_unit_stake_scorer_scores_only_the_trial_with_an_infinite_cost_nan() -> None:

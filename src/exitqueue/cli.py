@@ -139,9 +139,18 @@ class ExperimentSpec:
 _REQUIRED = object()
 
 
+class _Config(configparser.ConfigParser):
+    """A config file that records, by section, each key that _get reads."""
+
+    def __init__(self) -> None:
+        super().__init__(inline_comment_prefixes=(";", "#"))
+        self.seen: dict[str, set[str]] = {}
+
+
 def _get(section: configparser.SectionProxy, key: str, parse=str, fallback=_REQUIRED):
     """``parse`` applied to ``[section] key``; any failure is a ConfigError
     that names the section and key."""
+    section.parser.seen.setdefault(section.name, set()).add(key)
     raw = section.get(key)
     if raw is None:
         if fallback is _REQUIRED:
@@ -193,54 +202,29 @@ def _one_of(*allowed: str):
     return _checked(str, allowed.__contains__, f"must be one of {', '.join(allowed)}")
 
 
-def _values_dist(section: configparser.SectionProxy, kind: str) -> ValueDistribution:
+def _values_dist(section: configparser.SectionProxy) -> ValueDistribution:
+    kinds = _one_of("discrete", "uniform", "exponential", "pareto")
+    kind = _get(section, "kind", kinds, "discrete")
     if kind == "discrete":
         return _get(section, "points", _discrete(float))
     if kind == "uniform":
         return Uniform(_get(section, "lo", _finite, 0.0), _get(section, "hi", _finite, 1.0))
     if kind == "exponential":
         for key, convention in (("rate", ExpConvention.RATE), ("scale", ExpConvention.SCALE)):
-            if key in section:
+            if key in section:  # a scale beside a rate goes unread, so it is refused
                 return _get(section, key, lambda raw: Exponential(float(raw), convention))
         raise ConfigError("[values] exponential needs a rate or scale key")
     convention = _get(section, "convention", ParetoConvention, ParetoConvention.SHAPE_SCALE)
     return Pareto(_get(section, "shape", float), _get(section, "scale", float), convention)
 
 
-# Every key that load_experiment reads, by section; [values] keys by kind.
-CONFIG_KEYS = {
-    "experiment": {"name", "metric", "steps", "trials", "seed", "discount", "burn_in", "bin_width"},
-    "constraints": {"mode", "windows", "initial_stake"},
-    "arrivals": {"counts"},
-    "values": {"kind"},
-    "mechanisms": {"list", "alpha", "rate", "sort_key", "constant_sort"},
-    "policy": {"cap", "tolerance", "path"},
-}
-VALUES_KEYS = {
-    "discrete": {"points"},
-    "uniform": {"lo", "hi"},
-    "exponential": {"rate", "scale"},
-    "pareto": {"shape", "scale", "convention"},
-}
-
-
-def _reject_unread(parser: configparser.ConfigParser, values_kind: str) -> None:
-    """Raise ConfigError for a section or key that load_experiment does not read."""
-    for section in parser.sections():
-        if section not in CONFIG_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        known = CONFIG_KEYS[section] | (VALUES_KEYS[values_kind] if section == "values" else set())
-        for key in parser[section]:
-            if key not in known:
-                raise ConfigError(f"[{section}] has unknown key {key!r}")
-
-
 def load_experiment(path: str | Path) -> ExperimentSpec:
     """Parse one config file. Every key is parsed and range-checked here,
-    and every error names its section and key; the run's own fields are
-    checked again by SimulationConfig."""
+    and every error names its section and key. The schema is what this
+    reads: a section or key left unread is refused before any check across
+    keys. The run's own fields are checked again by SimulationConfig."""
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = _Config()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -257,8 +241,6 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
         trials = _get(exp, "trials", int, 1)
         seed = _get(exp, "seed", int, 0)
         discount = _get(exp, "discount", float, _REQUIRED if metric == "discounted" else None)
-        if discount is not None and metric == "steady-state":
-            raise ConfigError("[experiment] discount applies to the discounted metric only")
         burn_in = _get(exp, "burn_in", int, 0)
         bin_width = _get(exp, "bin_width", _positive, 0.1)
 
@@ -273,22 +255,38 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
 
         arrival_counts = _get(parser["arrivals"], "counts", _discrete(int))
 
-        values_kind = _get(parser["values"], "kind", _one_of(*VALUES_KEYS), "discrete")
-        values = _values_dist(parser["values"], values_kind)
-        _reject_unread(parser, values_kind)
+        values = _values_dist(parser["values"])
 
         mech = parser["mechanisms"]
         names = tuple(tok.strip() for tok in _get(mech, "list", str, "").split(",") if tok.strip())
-        if not names:
-            raise ConfigError("[mechanisms] list must name at least one mechanism")
         alpha = _get(mech, "alpha", _checked(float, lambda a: 0 < a <= 1, "must lie in (0, 1]"),
                      0.9)
         rate = _get(mech, "rate", _checked(int, lambda r: r >= 1, "must be positive"), 1)
         sort_key = _get(mech, "sort_key", _one_of("cost", "bid"), "cost")
         constant_sort = _get(mech, "constant_sort", _one_of("fcfs", "cost", "bid"), "cost")
 
+        pol = parser["policy"] if parser.has_section("policy") else None
+        if pol is not None:
+            cap = _get(pol, "cap", int, 10)
+            tolerance = _get(pol, "tolerance", _positive, 1e-9)
+            rel = _get(pol, "path", _checked(str, bool, "must not be empty"),
+                       f"policies/{name}.policy")
+
+        for section in parser.sections():
+            if section not in parser.seen:
+                raise ConfigError(f"unknown section [{section}]")
+            for key in parser[section]:
+                if key not in parser.seen[section]:
+                    raise ConfigError(f"[{section}] has unknown key {key!r}")
+
+        if discount is not None and metric == "steady-state":
+            raise ConfigError("[experiment] discount applies to the discounted metric only")
+        if "burn_in" in exp and metric == "discounted":
+            raise ConfigError("[experiment] burn_in applies to the steady-state metric only")
+        if not names:
+            raise ConfigError("[mechanisms] list must name at least one mechanism")
         policy_spec = None
-        if parser.has_section("policy"):
+        if pol is not None:
             # The model is the experiment's: its discounted metric, its one
             # window and its two cost points.
             if metric != "discounted":
@@ -300,14 +298,11 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
             budget = int(constraints[0].delta)
             if budget > MAX_BUDGET:
                 raise ConfigError(f"[policy] needs a budget of at most {MAX_BUDGET}, got {budget}")
-            pol = parser["policy"]
-            rel = _get(pol, "path", _checked(str, bool, "must not be empty"),
-                       f"policies/{name}.policy")
             policy_spec = PolicySpec(
-                cap=_get(pol, "cap", int, 10),
+                cap=cap,
                 budget=budget,
                 window=constraints[0].window,
-                tolerance=_get(pol, "tolerance", _positive, 1e-9),
+                tolerance=tolerance,
                 high_prob=values.probs[values.points.index(max(values.points))],
                 path=(path.parent / rel).resolve(),
             )

@@ -28,9 +28,10 @@ shape picks the engine:
   * the unit-stake engine takes every other Mechanism, under either metric.
     With unit stakes a Mechanism processes min(capacity(min_slack), waiting)
     requests whatever its order, so a count pass gives a trial's counts from
-    its arrivals alone. An order pass finds who left, a prefix of the
-    arrivals wherever the order ranks them in arrival order. Each metric is
-    then scored from the counts and who left, a block of trials at a time.
+    its arrivals alone, by the window rule the count engine reads too
+    (_windows). An order pass finds who left, a prefix of the arrivals
+    wherever the order ranks them in arrival order. Each metric is then
+    scored from the counts and who left, a block of trials at a time.
 
 Either engine runs one block of trials at a time, so its memory does not
 grow with the trial count, and yields each block: the seed of the first
@@ -47,8 +48,9 @@ rounds each sum half to even, as math.fsum rounds the same floats in run_trial.
 SimulationConfig is the one gate on a run. It checks once that the cost
 distribution has finite parameters and draws no negative cost, so neither
 engine builds an ExitRequest: they rank plain (cost, bid, index) records
-through the mechanisms' own order. It also admits an optimal policy only
-under the discounted metric, the decision problem the policy solves. Finite
+through the mechanisms' own order. It admits an optimal policy only under
+the discounted metric, the decision problem the policy solves, and only on
+the constraint and the two cost points it was solved for. Finite
 parameters can still draw an infinite cost, or costs whose sums overflow;
 such a trial scores nan, and monte_carlo raises ConfigError for the first.
 """
@@ -151,6 +153,8 @@ class SimulationConfig:
             raise ConfigError("fractional constraints need initial_stake")
         if self.initial_stake is not None and self.initial_stake < 0:
             raise ConfigError(f"initial_stake must be nonnegative, got {self.initial_stake}")
+        if isinstance(self.mechanism, OptimalMechanism):
+            _check_policy_fits(self.mechanism, self)
 
 
 def _finite_nonnegative_costs(values: ValueDistribution) -> bool:
@@ -387,8 +391,6 @@ def monte_carlo(config: SimulationConfig) -> MonteCarloSummary:
     trial metric or summary statistic beyond the float range raises
     ConfigError, naming the first seed whose trial has one.
     """
-    if isinstance(config.mechanism, OptimalMechanism):
-        _check_policy_fits(config.mechanism, config)
     blocks = _count_blocks if _fastlane_eligible(config) else _unit_blocks
     values: list[float] = []
     # Out-of-range sums become inf or nan here, and _summarize rejects them.
@@ -450,13 +452,14 @@ def make_histogram(values: Sequence[float], bin_width: float = 0.1) -> list[Hist
 #
 # Takes the discounted runs whose queue is a pair of class counts: one cost
 # level under any order, or two under the cost order, in either mode and
-# under any number of windows, as every optimal policy that passes
-# _check_policy_fits has. FCFS and bid orders interleave two classes by
+# under any number of windows, as every optimal policy that SimulationConfig
+# admits has. FCFS and bid orders interleave two classes by
 # arrival, which counts cannot express, and the steady-state metric needs
 # who left when, so those go to the unit-stake engine. Each trial draws its
 # arrivals through _draw_arrivals, as run_trial does, and keeps only its
 # per-period counts of all and of high-cost arrivals. A heuristic's period
-# loop is the recurrence of _unit_counts, through _free_tables.
+# loop is the recurrence of _unit_counts, through _free_tables; both read
+# the window rule of _windows.
 #
 # Trials are independent, so the engine runs one block of trials at a time:
 # it draws the block, runs its periods, and monte_carlo audits and scores
@@ -489,31 +492,34 @@ def _check_policy_fits(mech: OptimalMechanism, config: SimulationConfig) -> None
         )
 
 
+def _windows(config: SimulationConfig) -> list[tuple[int, int, int, int]]:
+    """Each constraint (delta, T) as (T, a, b, den): where periods 1..t-T
+    processed x, periods 1..t may process at most F(x) = x + (a - b*x) // den
+    in all. That is x + delta, as (delta, 0, 1), or in fraction mode
+    x + floor(delta * (stake0 - x)), as (stake0 * num, num, den). Both
+    count passes read it."""
+    fraction = config.constraints.mode is ConstraintMode.FRACTION_OF_STAKE
+    return [(c.window, c.delta.numerator * (config.initial_stake if fraction else 1),
+             c.delta.numerator if fraction else 0, c.delta.denominator) for c in config.constraints]
+
+
 def _free_tables(config: SimulationConfig, reach: int) -> tuple[np.ndarray, list]:
-    """A heuristic's capacity lookup and one table per window, for trials
-    that process at most ``reach`` requests. As in _unit_counts, window
-    (delta, T) frees F(x) - done in period t, where x = cum[t-T], done =
-    cum[t-1] and F(x) = x + delta, or x + floor(delta * (stake0 - x)) in
-    fraction mode. As 0 <= x <= done <= reach, the least of them, clamped at
-    0, is a slack lo + i, whose capacity is lookup[i]; a table holds F(x) - lo
-    for x = 0 .. reach. Both are capped where no read sees the excess (no
-    trial has more than reach waiting), so both fit int64."""
-    cs = config.constraints
-    stake0 = config.initial_stake if cs.mode is ConstraintMode.FRACTION_OF_STAKE else None
-
-    def spare(c, x):  # F(x) - x, nonincreasing in x
-        num, den = c.delta.numerator, c.delta.denominator
-        return num if stake0 is None else (stake0 - x) * num // den
-
-    lo = max(0, min(spare(c, reach) for c in cs) - reach)
-    hi = min(spare(c, 0) for c in cs)
+    """A heuristic's capacity lookup and one table per window of _windows,
+    for trials that process at most ``reach`` requests. As F(x) - x never
+    grows with x and 0 <= x <= done <= reach, the slack of _unit_counts is
+    lo + i for some i >= 0, whose capacity is lookup[i]; a table holds
+    F(x) - lo for x = 0 .. reach. Both are capped where no read sees the
+    excess (no trial has more than reach waiting), so both fit int64."""
+    windows = _windows(config)
+    lo = max(0, min((a - b * reach) // den for _, a, b, den in windows) - reach)
+    hi = min(a // den for _, a, _, den in windows)
     capacity = config.mechanism.capacity
     lookup = np.array([min(capacity(s), reach) for s in range(lo, hi + 1)], dtype=np.int64)
     # Python ints wherever an intermediate could pass int64.
-    big = max(max(c.delta.numerator * (stake0 or 1), c.delta.denominator) for c in cs) + reach
+    big = max(max(a, b * reach, den) for _, a, b, den in windows) + reach
     xs = np.arange(reach + 1, dtype=np.int64 if big < 2**62 else object)
-    tables = [(c.window, np.minimum(xs + spare(c, xs) - lo, hi - lo + reach).astype(np.int64))
-              for c in cs]
+    tables = [(w, np.minimum(xs + (a - b * xs) // den - lo, hi - lo + reach).astype(np.int64))
+              for w, a, b, den in windows]
     return lookup, tables
 
 
@@ -646,22 +652,19 @@ def _unit_counts(
     config: SimulationConfig, counts: list[int], capacity: dict[int, int]
 ) -> list[int]:
     """The count pass: a trial's cumulative processed counts, entry k being
-    the total over periods 1..k. The window of constraint (delta, T) at
-    period t holds what periods t-T+1 .. t-1 processed; its capacity is
-    delta, or in fraction mode floor(delta * stake at the anchor t-T), the
-    initial stake less what periods 1..t-T processed. ``capacity`` memoizes
-    the mechanism's capacity by slack. A run that processes more than its
+    the total over periods 1..k. Period t's slack is the least F(x) - done
+    over the windows of _windows, x being what periods 1..t-T processed and
+    done what periods 1..t-1 did, clamped at 0. ``capacity`` memoizes the
+    mechanism's capacity by slack. A run that processes more than its
     initial stake is walked through; monte_carlo refuses it."""
-    fraction = config.constraints.mode is ConstraintMode.FRACTION_OF_STAKE
-    stake0 = config.initial_stake
-    limits = [(c.window, c.delta.numerator, c.delta.denominator) for c in config.constraints]
+    windows = _windows(config)
     cum, done, pos = [0], 0, 0  # done: processed so far; pos: arrived so far
     for t, arrived in enumerate(counts, start=1):
         free = math.inf
-        for w, num, den in limits:
+        for w, a, b, den in windows:
             # x: processed before the window opens (pre-genesis anchors read 0).
             x = cum[t - w] if t > w else 0
-            x += (stake0 - x) * num // den - done if fraction else num - done
+            x += (a - b * x) // den - done
             if x < free:
                 free = x
         if free < 0:

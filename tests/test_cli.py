@@ -135,6 +135,11 @@ def test_load_experiment_rejects_bad_configs(tmp_path) -> None:
             "kind = uniform\nlow = 0\nhigh = 1",
             "[values] has unknown key 'low'",
         ),
+        (
+            "kind = discrete\npoints = 1:0.9, 10:0.1",
+            "kind = exponential\nrate = 1\nscale = 1",
+            "[values] has unknown key 'scale'",
+        ),
     ],
 )
 def test_load_experiment_rejects_keys_it_does_not_read(tmp_path, old, new, named) -> None:
@@ -157,6 +162,7 @@ def test_load_experiment_rejects_keys_it_does_not_read(tmp_path, old, new, named
         ),
         ("kind = discrete\npoints = 1:0.9, 10:0.1", "kind = uniform\nlo = 0\nhi = inf", "[values] hi"),
         ("metric = discounted", "metric = steady-state", "[experiment] discount"),
+        ("seed = 5", "seed = 5\nburn_in = 2", "[experiment] burn_in"),
         ("metric = discounted", "metric = mean", "[experiment] metric"),
         ("discount = 0.9\n", "", "[experiment] discount is required"),
         (*STEADY_EXPERIMENT, "[policy] needs metric = discounted"),
@@ -172,7 +178,7 @@ def test_load_experiment_rejects_keys_it_does_not_read(tmp_path, old, new, named
         ("[arrivals]\ncounts = 0:0.5, 1:0.4, 5:0.1\n", "", "is missing section 'arrivals'"),
     ],
     ids=["missing-steps", "zero-denominator", "infinite-uniform", "steady-state-discount",
-         "unknown-metric", "discounted-without-discount", "steady-state-policy",
+         "discounted-burn-in", "unknown-metric", "discounted-without-discount", "steady-state-policy",
          "infinite-tolerance", "nan-tolerance", "pareto-without-scale", "unknown-mode",
          "unknown-constant-sort", "missing-arrivals"],
 )
@@ -249,6 +255,7 @@ def test_simulate_rejects_costs_whose_sums_leave_the_float_range(
         ("trials = 3", "trials = 0", []),
         ("metric = discounted", "metric = mean", []),
         ("seed = 5", "seed = 5\nburn_in = 12", []),
+        ("seed = 5", "seed = 5\nburn_in = 10", []),
         ("seed = 5", "seed = -1", []),
         ("alpha = 0.9", "alpha = 2", []),
         ("alpha-minslack,", "alpha-minslak,", []),
@@ -256,7 +263,7 @@ def test_simulate_rejects_costs_whose_sums_leave_the_float_range(
         ("", "", ["--trials", "0"]),
         (*STEADY_EXPERIMENT, []),
     ],
-    ids=["trials", "metric", "burn-in", "seed", "alpha", "misspelled-mechanism",
+    ids=["trials", "metric", "burn-in", "discounted-burn-in", "seed", "alpha", "misspelled-mechanism",
          "seed-override", "trials-override", "steady-state-optimal"],
 )
 def test_bad_config_exits_before_the_policy_solve(tmp_path, monkeypatch, old, new, args) -> None:

@@ -690,12 +690,10 @@ def test_optimal_policy_that_does_not_fit_the_run_is_a_model_mismatch() -> None:
     mech = OptimalMechanism(policy=policy, arrival_model=arrivals)
     # Every drawn cost is 1.0, which the policy knows, but the run's cost
     # points are not the ones it was solved for.
-    other_costs = replace(_flagship(mech), values=Discrete((1.0, 20.0), (1.0, 0.0)))
     with pytest.raises(ModelMismatch):
-        monte_carlo(other_costs)
-    other_window = replace(_flagship(mech), constraints=ConstraintSet([Constraint(3, 5)]))
+        replace(_flagship(mech), values=Discrete((1.0, 20.0), (1.0, 0.0)))
     with pytest.raises(ModelMismatch):
-        monte_carlo(other_window)
+        replace(_flagship(mech), constraints=ConstraintSet([Constraint(3, 5)]))
     with pytest.raises(ConfigError, match="discounted metric"):
         _flagship(mech, steps=30, metric="steady-state", discount=None)
 

@@ -232,6 +232,8 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
+    if parser.defaults():  # configparser would read its keys in every section
+        raise ConfigError("unknown section [DEFAULT]")
 
     try:
         exp = parser["experiment"]
@@ -442,8 +444,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if spec.policy is None:
         raise ConfigError("config has no [policy] section to solve")
     target = Path(args.out) if args.out else spec.policy.path
-    if target.is_dir():
-        raise ConfigError(f"cannot write policy file {target}: is a directory")
+    if args.out == "-" or target.is_dir():
+        why = "a policy goes to a file, not stdout" if args.out == "-" else "is a directory"
+        raise ConfigError(f"cannot write policy file {target}: {why}")
     policy = value_iteration(_model(spec), tolerance=spec.policy.tolerance)
     info = policy.info
     print(
@@ -461,44 +464,41 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
-    changes = {}
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.trials is not None:
-        changes["trials"] = args.trials
-    if not changes:
-        return spec
-    return replace(spec, **changes)
+def _experiment(args: argparse.Namespace) -> ExperimentSpec:
+    """The config's experiment, with the --seed and --trials given."""
+    given = {k: getattr(args, k) for k in ("seed", "trials") if getattr(args, k) is not None}
+    return replace(load_experiment(args.config), **given)
+
+
+def _run(spec: ExperimentSpec, out: str | None, header: str, rows) -> int:
+    """Run every configured mechanism and write ``header`` and, for each
+    mechanism in turn, the CSV rows ``rows`` makes of its summary."""
+    _check_out(out)
+    lines = [header]
+    for mech in _mechanisms(spec):
+        lines += rows(monte_carlo(spec.sim_config(mech)))
+    _write_out("\n".join(lines) + "\n", out)
+    return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = _apply_overrides(load_experiment(args.config), args)
-    _check_out(args.out)
-    rows = [SIMULATE_HEADER]
-    for mech in _mechanisms(spec):
-        summary = monte_carlo(spec.sim_config(mech))
+    def rows(summary) -> list[str]:
         gamma = "" if summary.gamma is None else _fmt(summary.gamma)
         stats = (summary.mean, summary.stderr, summary.p001, summary.p01, summary.p50)
-        rows.append(",".join([summary.mechanism, summary.metric, *map(_fmt, stats),
-                              str(summary.trials), str(summary.steps), gamma, str(summary.seed)]))
-    _write_out("\n".join(rows) + "\n", args.out)
-    return EXIT_OK
+        return [",".join([summary.mechanism, summary.metric, *map(_fmt, stats),
+                          str(summary.trials), str(summary.steps), gamma, str(summary.seed)])]
+    return _run(_experiment(args), args.out, SIMULATE_HEADER, rows)
 
 
 def cmd_histogram(args: argparse.Namespace) -> int:
-    spec = _apply_overrides(load_experiment(args.config), args)
+    spec = _experiment(args)
     if spec.metric != "discounted":
         raise ConfigError("histograms are defined for the discounted metric")
-    _check_out(args.out)
-    rows = [HISTOGRAM_HEADER]
-    for mech in _mechanisms(spec):
-        summary = monte_carlo(spec.sim_config(mech))
-        for b in summary.histogram(spec.bin_width):
-            rows.append(",".join([summary.mechanism, _fmt(b.left), _fmt(b.right), str(b.count),
-                                  _fmt(b.density), _fmt(b.log_density)]))
-    _write_out("\n".join(rows) + "\n", args.out)
-    return EXIT_OK
+    return _run(spec, args.out, HISTOGRAM_HEADER, lambda summary: [
+        ",".join([summary.mechanism, _fmt(b.left), _fmt(b.right), str(b.count),
+                  _fmt(b.density), _fmt(b.log_density)])
+        for b in summary.histogram(spec.bin_width)
+    ])
 
 
 def cmd_policy_diff(args: argparse.Namespace) -> int:
@@ -610,16 +610,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def config_and_out(p: argparse.ArgumentParser) -> None:
+    def config_and_out(p: argparse.ArgumentParser, out="output path (default stdout)") -> None:
         p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--out", default=None, help=out)
 
     def overrides(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--trials", type=int, default=None, help="override the trial count")
 
     p_solve = sub.add_parser("solve", help="solve the decision model and write a policy file")
-    config_and_out(p_solve)
+    config_and_out(p_solve, "policy file to write (default the config's [policy] path)")
     p_solve.add_argument("--check", action="store_true", help="verify instead of overwrite")
     p_solve.set_defaults(func=cmd_solve)
 

@@ -222,17 +222,6 @@ class QueueState:
                 )
             last = r.requested_at
 
-    def recent_totals(self, n: int) -> tuple[int, ...]:
-        """The last ``n`` processed totals, oldest first (fewer near genesis)."""
-        return self.processed_totals[max(0, self.period - 1 - n):]
-
-    @property
-    def total_stake(self) -> int | None:
-        """Current stake S(0) - sum(processed_totals); None when untracked."""
-        if self.stake_history is None:
-            return None
-        return self.stake_history[-1]
-
     @classmethod
     def initial(
         cls,

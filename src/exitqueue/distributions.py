@@ -65,9 +65,6 @@ class Discrete:
         object.__setattr__(self, "cdf", cdf)
         object.__setattr__(self, "_points", points)
 
-    def mean(self) -> float:
-        return math.fsum(x * p for x, p in zip(self.points, self.probs))
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self._points[self.cdf.searchsorted(rng.random(size), side="right")]
 
@@ -89,9 +86,6 @@ class Uniform:
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise ConfigError(f"uniform needs lo < hi, got [{self.lo}, {self.hi}]")
-
-    def mean(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=size)
@@ -117,9 +111,6 @@ class Exponential:
             return 1.0 / self.param
         return self.param
 
-    def mean(self) -> float:
-        return self.scale
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.exponential(self.scale, size=size)
 
@@ -142,13 +133,6 @@ class Pareto:
             raise ConfigError(
                 f"pareto needs positive shape and scale, got ({self.shape}, {self.scale})"
             )
-
-    def mean(self) -> float:
-        if self.shape <= 1:
-            return math.inf
-        if self.convention is ParetoConvention.SHAPE_SCALE:
-            return self.shape * self.scale / (self.shape - 1)
-        return self.scale / (self.shape - 1)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # numpy's pareto(a) is Lomax(a, 1) = classical(a, 1) - 1.

@@ -206,7 +206,7 @@ class StateSpace:
         h = self.history_index(state.history)
         if not (0 <= state.w_low <= self.cap and 0 <= state.w_high <= self.cap):
             raise ConfigError(f"counts {state.w_low},{state.w_high} outside cap {self.cap}")
-        return (state.w_low * (self.cap + 1) + state.w_high) * self.n_hist + h
+        return int(self.encode_arrays(state.w_low, state.w_high, h))
 
     def encode_arrays(
         self, w_low: np.ndarray, w_high: np.ndarray, hist: np.ndarray
@@ -219,13 +219,13 @@ class StateSpace:
 
 def serve(
     w_low: np.ndarray, w_high: np.ndarray, take: np.ndarray | int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One period's count update, elementwise: serve ``take`` highs first and
-    spill the rest to lows. Returns the waiting counts left and the lows and
-    highs served; callers push ``take`` onto a history with ``StateSpace.push``."""
+    spill the rest to lows. Returns the low and high counts left waiting.
+    The model build, the count engine and the payment rollouts all call it;
+    each pushes ``take`` onto its history with ``StateSpace.push``."""
     done_high = np.minimum(take, w_high)
-    done_low = np.minimum(take - done_high, w_low)
-    return w_low - done_low, w_high - done_high, done_low, done_high
+    return w_low - np.minimum(take - done_high, w_low), w_high - done_high
 
 
 def enumerate_states(cap: int, budget: int, window: int = 5) -> list[MdpState]:
@@ -299,8 +299,6 @@ class TransitionTable:
 
 
 def _binomial_pmf(k: int, p: float) -> list[float]:
-    if k == 0:
-        return [1.0]
     return [math.comb(k, j) * p**j * (1.0 - p) ** (k - j) for j in range(k + 1)]
 
 
@@ -330,7 +328,7 @@ def build_transitions(
     lows, highs = np.minimum(lows, cap), np.minimum(highs, cap)
     a = np.arange(budget + 1)[:, None]  # row a serves a from every state
     legal = a <= space.slack[space.hist]
-    low_left, high_left, _, _ = serve(space.w_low, space.w_high, a)
+    low_left, high_left = serve(space.w_low, space.w_high, a)
     pushed = space.push[space.hist, a]
     after = np.where(legal, space.encode_arrays(low_left, high_left, pushed), -1)
     cost = arrival_model.cost_high * space.w_high + arrival_model.cost_low * space.w_low
@@ -623,8 +621,8 @@ def queue_to_mdp_state(
     """Count view of a live queue, with counts clamped to ``cap`` if given."""
     w_low = sum(1 for r in state.waiting if r.cost == arrival_model.cost_low)
     w_high = sum(1 for r in state.waiting if r.cost == arrival_model.cost_high)
-    recent = state.recent_totals(window - 1)
-    hist = tuple(reversed(recent)) + (0,) * (window - 1 - len(recent))
+    recent = state.processed_totals[::-1][: window - 1]  # most recent first
+    hist = recent + (0,) * (window - 1 - len(recent))
     if cap is not None:
         w_low, w_high = min(w_low, cap), min(w_high, cap)
     return MdpState(w_low, w_high, hist)
@@ -699,7 +697,7 @@ def _payment_period(
     ahead = np.where(active & ~served, np.maximum(ahead - action, 0), ahead)
     active = active & ~served
     hist = policy.space.push[hist, action]
-    w_low, w_high, _, _ = serve(w_low, w_high, action)
+    w_low, w_high = serve(w_low, w_high, action)
     others = model.cost_low * w_low + model.cost_high * w_high - np.where(active, agent_cost, 0.0)
     # New arrivals; future high arrivals outrank a still-waiting low agent.
     if not agent_is_high:

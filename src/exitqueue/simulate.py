@@ -36,14 +36,16 @@ shape picks the engine:
 Either engine runs one block of trials at a time, so its memory does not
 grow with the trial count, and yields each block: the seed of the first
 trial, their cumulative processed counts, and their values, scored only
-when read. For every block, monte_carlo checks the counts against the
-initial stake and audits them against the constraints, in one place,
-before it reads any of the block's values: a block holding a trial that
-cannot be scored (NoWithdrawals) before one that exceeds the stake
-reports the stake. Both sum costs by one exact-sum rule (_exact_units): every
-finite float is an integer over a power of two, so over their largest
-denominator costs sum exactly in integers, and one conversion (_over_scale)
-rounds each sum half to even, as math.fsum rounds the same floats in run_trial.
+when read; on either engine one scorer (_discounted_values) turns a
+discounted block's per-period queue costs into its values. For every
+block, monte_carlo checks the counts against the initial stake and audits
+them against the constraints, in one place, before it reads any of the
+block's values: a block holding a trial that cannot be scored
+(NoWithdrawals) before one that exceeds the stake reports the stake. Both
+sum costs by one exact-sum rule (_exact_units): every finite float is an
+integer over a power of two, so over their largest denominator costs sum
+exactly in integers, and one conversion (_over_scale) rounds each sum half
+to even, as math.fsum rounds the same floats in run_trial.
 
 SimulationConfig is the one gate on a run. It checks once that the cost
 distribution has finite parameters and draws no negative cost, so neither
@@ -60,7 +62,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import partial
 from heapq import heappop, heappush
 from itertools import repeat
 from operator import truediv
@@ -137,9 +138,14 @@ class SimulationConfig:
             raise ConfigError(f"burn_in must lie in [0, steps), got {self.burn_in}")
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
+        # A setting the run's metric never reads is refused, not ignored.
         if self.metric == "discounted":
             if self.discount is None:
                 raise ConfigError("discounted metric needs a discount factor")
+            if self.burn_in:
+                raise ConfigError("burn_in applies to the steady-state metric only")
+        elif self.discount is not None:
+            raise ConfigError("discount applies to the discounted metric only")
         if self.discount is not None and not 0.0 < self.discount < 1.0:
             raise ConfigError(f"discount must lie in (0,1), got {self.discount}")
         if not isinstance(self.arrival_counts, Discrete):
@@ -269,6 +275,12 @@ def _discount_weights(gamma: float, n: int) -> np.ndarray:
 
 def _discounted(stream: np.ndarray, weights: np.ndarray, gamma: float) -> float:
     return (1.0 - gamma) * math.fsum((weights * stream).tolist())
+
+
+def _discounted_values(streams: np.ndarray, weights: np.ndarray, gamma: float) -> Iterator[float]:
+    """discounted_reward of each row of queue costs (trials x steps), scored
+    when read: nan where a row holds nan or its sum leaves the float range."""
+    return (_or_nan(_discounted, row, weights, gamma) for row in streams)
 
 
 def _exact_units(xs: Sequence[float]) -> tuple[list[int], int]:
@@ -457,7 +469,7 @@ def make_histogram(values: Sequence[float], bin_width: float = 0.1) -> list[Hist
 # arrival, which counts cannot express, and the steady-state metric needs
 # who left when, so those go to the unit-stake engine. Each trial draws its
 # arrivals through _draw_arrivals, as run_trial does, and keeps only its
-# per-period counts of all and of high-cost arrivals. A heuristic's period
+# per-period counts of low- and of high-cost arrivals. A heuristic's period
 # loop is the recurrence of _unit_counts, through _free_tables; both read
 # the window rule of _windows.
 #
@@ -544,13 +556,13 @@ def _count_blocks(
 ) -> Iterator[tuple[int, np.ndarray, Iterator[float]]]:
     """Yield, for each block of trials in trial order, the seed of its first
     trial, its cumulative processed counts (block x steps+1) and its
-    discounted values, scored when read. Queue costs charge the pending
-    queue before removal: run_trial's penalty less the fees, each a sum of
-    class units over one scale."""
+    discounted values, scored when read. A trial's queue is its low and high
+    counts, as a model state's is (the low count alone in a one-level run).
+    Queue costs charge the pending queue before removal: run_trial's penalty
+    less the fees, each a sum of class units over one scale."""
     n = config.steps
     points = sorted(float(p) for p in config.values.points)
     units, scale = _exact_units(points)
-    u_low, u_extra = units[0], units[-1] - units[0]  # a high request's units over a low one's
     two = len(points) == 2
     weights = _discount_weights(config.discount, n)
 
@@ -565,10 +577,10 @@ def _count_blocks(
     # (benchmarks/run.py, 2 cores).
     exact = units[-1] * n * most < 2**53
 
-    def queue_units(waiting: np.ndarray, high: np.ndarray) -> np.ndarray:
-        if not exact and max(int(waiting.max()), 1) * units[-1] >= 2**63:  # past int64
-            waiting, high = waiting.astype(object), high.astype(object)
-        return waiting * u_low + high * u_extra if two else waiting * u_low
+    def queue_units(low: np.ndarray, high: np.ndarray | None) -> np.ndarray:
+        if not exact and max(int((low + high if two else low).max()), 1) * units[-1] >= 2**63:
+            low, high = low.astype(object), high.astype(object) if two else None  # past int64
+        return low * units[0] + high * units[1] if two else low * units[0]
 
     mech = config.mechanism
     optimal = isinstance(mech, OptimalMechanism)
@@ -578,26 +590,28 @@ def _count_blocks(
     block, stop = max(1, _BLOCK_CELLS // n), config.seed + config.trials
     for first in range(config.seed, stop, block):
         m = min(block, stop - first)
-        counts = np.empty((m, n), dtype=small)
+        lows = np.empty((m, n), dtype=small)
         highs = np.empty((m, n), dtype=small) if two else None
         for i in range(m):
             rng = np.random.default_rng(first + i)
             c, costs = _draw_arrivals(rng, n, config.arrival_counts, config.values)
-            counts[i] = c
+            lows[i] = c
             if two:
                 highs[i] = np.bincount(periods.repeat(c)[costs == points[1]], minlength=n)
+        if two:  # one subtraction a block, not one a trial
+            lows -= highs
 
-        waiting = np.zeros(m, dtype=np.int64)
-        high = np.zeros(m, dtype=np.int64)  # of the waiting, of high cost
+        low = np.zeros(m, dtype=np.int64)
+        high = np.zeros(m, dtype=np.int64) if two else None
         hist = np.zeros(m, dtype=np.int64)  # history 0: nothing processed yet
         streams = np.empty((m, n), dtype=np.float64)
         cum = np.zeros((m, n + 1), dtype=np.int64)
         for t in range(n):
-            waiting += counts[:, t]
+            low += lows[:, t]
             if two:
                 high += highs[:, t]
             if optimal:
-                take = mech.policy.take(waiting - high, high, hist)
+                take = mech.policy.take(low, high, hist)
                 hist = mech.policy.space.push[hist, take]
             else:
                 # Each window's anchor: what periods 1 .. t-window+1 processed.
@@ -607,20 +621,21 @@ def _count_blocks(
                     free = x if free is None else np.minimum(free, x, out=free)
                 free -= cum[:, t]
                 take = lookup[np.maximum(free, 0, out=free)]
-                np.minimum(take, waiting, out=take)
-            queued = queue_units(waiting, high)
+                np.minimum(take, low + high if two else low, out=take)
+            queued = queue_units(low, high)
             if two:
-                _, high, _, _ = serve(waiting - high, high, take)
-            waiting -= take
+                low, high = serve(low, high, take)
+            else:
+                low -= take
             if exact:
                 streams[:, t] = queued
             else:
-                left = queue_units(waiting, high)
+                left = queue_units(low, high)
                 streams[:, t] = -_over_scale(left, scale) - _over_scale(queued - left, scale)
             np.add(cum[:, t], take, out=cum[:, t + 1])
         if exact:
             np.negative(_over_scale(streams, scale, out=streams), out=streams)
-        yield first, cum, (_or_nan(_discounted, row, weights, config.discount) for row in streams)
+        yield first, cum, _discounted_values(streams, weights, config.discount)
 
 
 # =============================================================
@@ -766,33 +781,22 @@ def _unit_disutility(
         yield _or_nan(math.fsum, part.tolist()) / part.size
 
 
-def _unit_discounted(
-    config: SimulationConfig, counts: np.ndarray, costs: np.ndarray, cum: np.ndarray,
-    served: np.ndarray, weights: np.ndarray,
-) -> Iterator[float]:
-    """discounted_reward of each trial of a block, from who was served in
-    which period. A trial with a non-finite cost scores nan."""
-    finite = np.isfinite(costs)
-    bad = np.zeros(counts.shape[0], dtype=bool)
-    bad[np.repeat(np.arange(bad.size), counts.sum(axis=1, dtype=np.int64))[~finite]] = True
-    streams = _unit_streams(counts, np.where(finite, costs, 0.0), cum, served)
-    for row, nan in zip(streams, bad.tolist()):
-        yield math.nan if nan else _or_nan(_discounted, row, weights, config.discount)
-
-
 def _unit_streams(
     counts: np.ndarray, costs: np.ndarray, cum: np.ndarray, served: np.ndarray
 ) -> np.ndarray:
     """Each trial's queue cost per period (block x steps): run_trial's
     penalty (arrived through t less processed through t) plus the costs
-    processed in t, each a sum rounded as math.fsum rounds it.
+    processed in t, each a sum rounded as math.fsum rounds it, and nan in
+    every period of a trial that drew an infinite cost.
 
-    The block's costs become exact units over one scale (_exact_units of its
-    distinct costs). ``came`` sums them in arrival order and ``went`` in
-    processing order, over the whole block; a trial's sums are differences
-    from where its own stretch of each starts.
+    The block's finite costs become exact units over one scale (_exact_units
+    of its distinct costs). ``came`` sums them in arrival order and ``went``
+    in processing order, over the whole block; a trial's sums are
+    differences from where its own stretch of each starts.
     """
-    points, which = np.unique(costs, return_inverse=True)
+    arrivals = counts.sum(axis=1, dtype=np.int64)
+    finite = np.isfinite(costs)
+    points, which = np.unique(np.where(finite, costs, 0.0), return_inverse=True)
     units, scale = _exact_units(points.tolist())
     total = sum(u * k for u, k in zip(units, np.bincount(which, minlength=len(units)).tolist()))
     # Every sum of the block is at most its total.
@@ -800,7 +804,6 @@ def _unit_streams(
 
     came = np.cumsum(np.concatenate([[0], units]))
     went = np.cumsum(np.concatenate([[0], units[served]]))
-    arrivals = counts.sum(axis=1, dtype=np.int64)
     a0 = (np.cumsum(arrivals) - arrivals)[:, None]
     d0 = (np.cumsum(cum[:, -1]) - cum[:, -1])[:, None]
     gone = went[cum + d0]
@@ -810,6 +813,7 @@ def _unit_streams(
     streams = _over_scale(waiting, scale)
     np.negative(streams, out=streams)
     streams -= _over_scale(np.diff(gone), scale)
+    streams[np.repeat(np.arange(counts.shape[0]), arrivals)[~finite]] = np.nan
     return streams
 
 
@@ -822,9 +826,7 @@ def _unit_blocks(
     would give them, each failure being the one they raise, but nan where a
     sum overflows."""
     n = config.steps
-    score = _unit_disutility
-    if config.metric == "discounted":
-        score = partial(_unit_discounted, weights=_discount_weights(config.discount, n))
+    weights = _discount_weights(config.discount, n) if config.metric == "discounted" else None
     small = np.min_scalar_type(max(k for k, _ in config.arrival_counts.as_count_dist()))
     order = config.mechanism.order
     capacity: dict[int, int] = {}
@@ -845,7 +847,11 @@ def _unit_blocks(
             served.append(went + pos)  # into the block
             pos += drawn.size
         costs, served = np.concatenate(costs), np.concatenate(served)
-        yield first, cum, score(config, counts, costs, cum, served)
+        if config.metric == "discounted":
+            streams = _unit_streams(counts, costs, cum, served)
+            yield first, cum, _discounted_values(streams, weights, config.discount)
+        else:
+            yield first, cum, _unit_disutility(config, counts, costs, cum, served)
 
 
 # =============================================================

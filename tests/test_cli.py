@@ -140,6 +140,8 @@ def test_load_experiment_rejects_bad_configs(tmp_path) -> None:
             "kind = exponential\nrate = 1\nscale = 1",
             "[values] has unknown key 'scale'",
         ),
+        # configparser reads a [DEFAULT] key in every section.
+        ("[experiment]", "[DEFAULT]\nseed = 3\n\n[experiment]", "unknown section [DEFAULT]"),
     ],
 )
 def test_load_experiment_rejects_keys_it_does_not_read(tmp_path, old, new, named) -> None:
@@ -515,6 +517,17 @@ def test_solve_without_policy_section(tmp_path) -> None:
     text = BASE[: BASE.index("[policy]")]
     cfg = _config(tmp_path, text, "nopolicy.cfg")
     assert main(["solve", "--config", str(cfg)]) == 2
+
+
+def test_solve_refuses_stdout_for_its_policy_file(tmp_path, monkeypatch, capsys) -> None:
+    # solve writes a file, so "-" is refused, not taken as a file name.
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--config", str(_config(tmp_path)), "--out", "-"]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write policy file -")
+    assert not (tmp_path / "-").exists() and not (tmp_path / "policies").exists()
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    assert "stdout" not in capsys.readouterr().out
 
 
 # =============================================================

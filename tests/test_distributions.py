@@ -16,9 +16,8 @@ from exitqueue.distributions import (
 from exitqueue.errors import ConfigError
 
 
-def test_discrete_mean_and_atoms() -> None:
+def test_discrete_count_atoms() -> None:
     d = Discrete((0, 1, 5), (0.55, 0.35, 0.1))
-    assert d.mean() == pytest.approx(0.85)
     assert d.as_count_dist() == ((0, 0.55), (1, 0.35), (5, 0.1))
 
 
@@ -45,7 +44,7 @@ def test_discrete_sampling_hits_only_support() -> None:
     d = Discrete((2, 7), (0.25, 0.75))
     draws = d.sample(np.random.default_rng(0), 2000)
     assert set(np.unique(draws)) == {2.0, 7.0}
-    assert abs(draws.mean() - d.mean()) < 0.15
+    assert abs(draws.mean() - 5.75) < 0.15
 
 
 @pytest.mark.parametrize(
@@ -83,7 +82,6 @@ def test_discrete_cdf_is_no_part_of_its_identity() -> None:
 def test_uniform() -> None:
     u = Uniform(0.0, 1.0)
     draws = u.sample(np.random.default_rng(1), 50_000)
-    assert u.mean() == 0.5
     assert draws.min() >= 0.0 and draws.max() <= 1.0
     assert abs(draws.mean() - 0.5) < 0.005
     with pytest.raises(ConfigError):
@@ -94,7 +92,6 @@ def test_exponential_rate_vs_scale() -> None:
     by_rate = Exponential(0.1, ExpConvention.RATE)
     by_scale = Exponential(10.0, ExpConvention.SCALE)
     assert by_rate.scale == by_scale.scale == 10.0
-    assert by_rate.mean() == 10.0
     draws = by_rate.sample(np.random.default_rng(2), 100_000)
     assert abs(draws.mean() - 10.0) < 0.15
     with pytest.raises(ConfigError):
@@ -110,12 +107,6 @@ def test_pareto_conventions_differ() -> None:
     l_draws = lomax.sample(np.random.default_rng(3), 100_000)
     assert c_draws.min() >= 5.0
     assert l_draws.min() < 1.0
-    assert classical.mean() == 10.0
-    assert lomax.mean() == 5.0
     assert abs(np.median(c_draws) - 5.0 * 2 ** 0.5) < 0.1
     with pytest.raises(ConfigError):
         Pareto(0.0, 5.0)
-
-
-def test_pareto_infinite_mean_below_shape_one() -> None:
-    assert Pareto(1.0, 5.0).mean() == float("inf")

@@ -610,6 +610,9 @@ def test_queue_to_mdp_state_reverses_recent_history() -> None:
     )
     m = queue_to_mdp_state(state, FLAGSHIP, window=3)
     assert m.history == (1, 0)
+    # Near genesis the periods before the first read as 0.
+    early = QueueState(constraints=cs, period=2, waiting=(), processed_totals=(2,))
+    assert queue_to_mdp_state(early, FLAGSHIP, window=3).history == (2, 0)
 
 
 def test_optimal_select_takes_priority_prefix() -> None:

@@ -575,6 +575,12 @@ def test_count_engine_matches_object_engine_on_every_shape_it_takes() -> None:
                           values=Discrete((0.1, 1.0), (0.5, 0.5))),
                 arrival_counts=Discrete((24,), (1.0,)),
                 constraints=ConstraintSet([Constraint(5, 5)])),
+        # An optimal policy solved for costs 0.1 and 1.0 rounds apart, and
+        # at 24 arrivals a period sums past int64 from period 12.
+        _flagship(_flagship_optimal(0.5, (0.1, 1.0)), values=Discrete((0.1, 1.0), (0.5, 0.5))),
+        replace(_flagship(_flagship_optimal(0.5, (0.1, 1.0)), steps=20, trials=2,
+                          values=Discrete((0.1, 1.0), (0.5, 0.5))),
+                arrival_counts=Discrete((24,), (1.0,))),
     ]
     for config in configs:
         assert _fastlane_eligible(config)
@@ -620,8 +626,8 @@ def test_count_engine_memory_does_not_grow_with_the_queue() -> None:
 
 
 @functools.cache
-def _flagship_optimal() -> OptimalMechanism:
-    arrivals = ArrivalModel(FLAGSHIP_COUNTS.as_count_dist(), 0.1, 1.0, 10.0)
+def _flagship_optimal(high_prob=0.1, costs=(1.0, 10.0)) -> OptimalMechanism:
+    arrivals = ArrivalModel(FLAGSHIP_COUNTS.as_count_dist(), high_prob, *costs)
     policy = value_iteration(
         build_model(arrivals, cap=4, budget=2, window=5, discount=0.9), tolerance=1e-9
     )
@@ -770,7 +776,7 @@ def test_unit_stake_engine_matches_object_engine_bitwise(mechanism, metric, monk
                 seed=31,
                 metric=metric,
                 discount=0.9 if metric == "discounted" else None,
-                burn_in=10,
+                burn_in=0 if metric == "discounted" else 10,
                 initial_stake=stake,
             )
             want = _object_values(config)
@@ -928,11 +934,11 @@ def test_monte_carlo_builds_no_exit_request(monkeypatch) -> None:
     runs = [(m, v) for m in _UNIT_MECHANISMS for v in (FLAGSHIP_VALUES, Pareto(2.0, 5.0))]
     configs = [
         _flagship(mech, steps=40, trials=3, values=values, metric=metric, discount=discount,
-                  burn_in=5)
+                  burn_in=0 if discount else 5)
         for metric, discount in (("discounted", 0.9), ("steady-state", None))
         for mech, values in runs
     ]
-    configs.append(_flagship(_flagship_optimal(), steps=40, trials=3, burn_in=5))
+    configs.append(_flagship(_flagship_optimal(), steps=40, trials=3))
     want = [_object_values(c) for c in configs]
 
     def refuse(self):
@@ -1017,7 +1023,8 @@ def test_each_engine_draws_each_trial_once_through_draw_arrivals(make, metric, c
     # One routine draws every trial's arrivals, once per trial in seed order,
     # whichever engine runs; blocks of four trials cross a block boundary.
     config = _flagship(make(), steps=40, trials=10, seed=11, metric=metric,
-                       discount=0.9 if metric == "discounted" else None, burn_in=5)
+                       discount=0.9 if metric == "discounted" else None,
+                       burn_in=0 if metric == "discounted" else 5)
     want = _object_values(config)
     draw, seeds = simulate._draw_arrivals, []
 
@@ -1058,7 +1065,8 @@ def test_monte_carlo_names_the_first_seed_beyond_the_float_range(
 ) -> None:
     # prio-minslack on the two-point discounted case runs the count engine.
     config = _flagship(mechanism, steps=12, trials=6, seed=seed, values=values, metric=metric,
-                       discount=0.9 if metric == "discounted" else None, burn_in=2)
+                       discount=0.9 if metric == "discounted" else None,
+                       burn_in=0 if metric == "discounted" else 2)
     with np.errstate(over="ignore", invalid="ignore"):
         first = _first_seed_beyond_floats(config)
     where = f"at seed {first}$" if first is not None else f"in the stderr of seeds {seed}-"
@@ -1359,6 +1367,11 @@ def test_config_validation() -> None:
         SimulationConfig(**{**good, "trials": 0})
     with pytest.raises(ConfigError):
         SimulationConfig(**{**good, "burn_in": 10})
+    with pytest.raises(ConfigError, match="burn_in applies to the steady-state metric only"):
+        SimulationConfig(**{**good, "burn_in": 1})
+    with pytest.raises(ConfigError, match="discount applies to the discounted metric only"):
+        SimulationConfig(**{**good, "metric": "steady-state"})
+    SimulationConfig(**{**good, "metric": "steady-state", "discount": None, "burn_in": 1})
     with pytest.raises(ConfigError):
         SimulationConfig(**{**good, "metric": "mean"})
     with pytest.raises(ConfigError):

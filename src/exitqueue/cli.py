@@ -71,7 +71,7 @@ from .mdp import (
     save_policy,
     value_iteration,
 )
-from .simulate import METRICS, SimulationConfig, brute_force_schedules, monte_carlo
+from .simulate import METRICS, SimulationConfig, brute_force_schedules, make_histogram, monte_carlo
 
 __all__ = ["main", "ExperimentSpec", "load_experiment"]
 
@@ -497,7 +497,7 @@ def cmd_histogram(args: argparse.Namespace) -> int:
     return _run(spec, args.out, HISTOGRAM_HEADER, lambda summary: [
         ",".join([summary.mechanism, _fmt(b.left), _fmt(b.right), str(b.count),
                   _fmt(b.density), _fmt(b.log_density)])
-        for b in summary.histogram(spec.bin_width)
+        for b in make_histogram(summary.values, spec.bin_width)
     ])
 
 

@@ -615,32 +615,29 @@ def _validate_queue(policy: Policy, state: QueueState, arrival_model: ArrivalMod
             raise ModelMismatch(f"model counts unit stakes; {r.validator} has stake {r.stake}")
 
 
-def queue_to_mdp_state(
-    state: QueueState, arrival_model: ArrivalModel, window: int, cap: int | None = None
-) -> MdpState:
-    """Count view of a live queue, with counts clamped to ``cap`` if given."""
+def queue_to_mdp_state(state: QueueState, arrival_model: ArrivalModel, window: int) -> MdpState:
+    """Count view of a live queue."""
     w_low = sum(1 for r in state.waiting if r.cost == arrival_model.cost_low)
     w_high = sum(1 for r in state.waiting if r.cost == arrival_model.cost_high)
     recent = state.processed_totals[::-1][: window - 1]  # most recent first
     hist = recent + (0,) * (window - 1 - len(recent))
-    if cap is not None:
-        w_low, w_high = min(w_low, cap), min(w_high, cap)
     return MdpState(w_low, w_high, hist)
 
 
 def optimal_select(
     policy: Policy, state: QueueState, arrival_model: ArrivalModel
 ) -> tuple[ExitRequest, ...]:
-    """Select per the solved policy: look up the action, take that many.
+    """Select per the solved policy: take as many as ``Policy.take`` gives.
 
     Raises ModelMismatch unless the queue runs exactly the (budget, window)
     absolute constraint the policy was solved for with two unit-stake cost
-    classes matching the arrival model.
+    classes matching the arrival model, and ConfigError for a window
+    history outside the budget.
     """
     _validate_queue(policy, state, arrival_model)
-    mstate = queue_to_mdp_state(state, arrival_model, policy.space.window, policy.space.cap)
-    action = int(policy.actions[policy.space.encode(mstate)])
-    return _prefix(_by_cost_desc(state.waiting, "cost"), action)
+    w_low, w_high, hist = queue_to_mdp_state(state, arrival_model, policy.space.window)
+    take = int(policy.take(w_low, w_high, policy.space.history_index(hist)))
+    return _prefix(_by_cost_desc(state.waiting, "cost"), take)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,10 @@ shape picks the engine:
     With unit stakes a Mechanism processes min(capacity(min_slack), waiting)
     requests whatever its order, so a count pass gives a trial's counts from
     its arrivals alone, by the window rule the count engine reads too
-    (_windows). An order pass finds who left, a prefix of the arrivals
-    wherever the order ranks them in arrival order. Each metric is then
-    scored from the counts and who left, a block of trials at a time.
+    (_windows). An order pass finds who left: a prefix of the arrivals
+    under FCFS, a heap replay of the ranking under a cost or bid order.
+    Each metric is then scored from the counts and who left, a block of
+    trials at a time.
 
 Either engine runs one block of trials at a time, so its memory does not
 grow with the trial count, and yields each block: the seed of the first
@@ -353,9 +354,6 @@ class MonteCarloSummary:
     gamma: float | None
     seed: int
     values: tuple[float, ...] = field(repr=False)
-
-    def histogram(self, bin_width: float = 0.1) -> list["HistogramBin"]:
-        return make_histogram(self.values, bin_width)
 
 
 def _or_nan(f, *args) -> float:
@@ -700,18 +698,14 @@ def _unit_order(order: str, counts: list[int], costs: np.ndarray, cum: list[int]
     cost or bid order, in processing order, given its cumulative counts.
     The ranking is one ``mechanisms._by_cost_desc`` call over ``_Arrival``
     records, looked up at call time: a stable sort, so its order restricted
-    to any waiting list is the order ``select`` gives that list. Where it is
-    the arrival order (one cost level, or bids, which all tie), the first
-    cum[-1] arrivals leave. Otherwise a heap of the waiting ranks replays
-    the trial: each period pushes what arrived, then pops what it processed.
+    to any waiting list is the order ``select`` gives that list. A heap of
+    the waiting ranks replays the trial: each period pushes what arrived,
+    then pops what it processed.
     """
     arrivals = list(map(_Arrival, costs.tolist(), repeat(0.0), range(costs.size)))
     ranked = np.array([a.index for a in mechanisms._by_cost_desc(arrivals, order)], np.int64)
-    stream = np.arange(costs.size)
-    if np.array_equal(ranked, stream):
-        return stream[: cum[-1]]
     rank = np.empty_like(ranked)
-    rank[ranked] = stream
+    rank[ranked] = np.arange(costs.size)
     rank, heap, popped, pos = rank.tolist(), [], [], 0  # popped: ranks, in processing order
     for arrived, done, later in zip(counts, cum, cum[1:]):
         if arrived:

@@ -588,19 +588,13 @@ def _queue(reqs, budget=2, window=2) -> QueueState:
     return QueueState.initial(cs, arrivals=reqs)
 
 
-def test_queue_to_mdp_state_counts_and_clamps() -> None:
+def test_queue_to_mdp_state_counts() -> None:
     reqs = [
         ExitRequest("a", 1, 1.0),
         ExitRequest("b", 1, 10.0),
         ExitRequest("c", 1, 1.0),
     ]
-    state = _queue(reqs)
-    m = queue_to_mdp_state(state, FLAGSHIP, window=2, cap=3)
-    assert m == MdpState(2, 1, (0,))
-    clamped = queue_to_mdp_state(state, FLAGSHIP, window=2, cap=1)
-    assert clamped == MdpState(1, 1, (0,))
-    # Without a cap the counts stay as they are.
-    assert queue_to_mdp_state(state, FLAGSHIP, window=2) == MdpState(2, 1, (0,))
+    assert queue_to_mdp_state(_queue(reqs), FLAGSHIP, window=2) == MdpState(2, 1, (0,))
 
 
 def test_queue_to_mdp_state_reverses_recent_history() -> None:
@@ -630,6 +624,10 @@ def test_optimal_select_takes_priority_prefix() -> None:
     if chosen:
         assert chosen[0].validator == "high"
     assert optimal_select(policy, _queue([], 2, 2), FLAGSHIP) == ()
+    # Five lows are beyond the cap of 3: the lookup reads the clamped counts.
+    beyond = _queue(reqs + [ExitRequest(f"low{i}", 1, 1.0) for i in range(3, 6)], 2, 2)
+    chosen = optimal_select(policy, beyond, FLAGSHIP)
+    assert len(chosen) == int(policy.take(3, 1, policy.space.history_index((0,))))
 
 
 def test_optimal_select_validates_the_queue() -> None:

@@ -157,9 +157,9 @@ class ExitRequest:
             raise ConfigError(f"stake must be >= 1, got {self.stake}")
         if self.requested_at < 1:
             raise ConfigError(f"requested_at must be >= 1, got {self.requested_at}")
-        if self.cost < 0:
+        if not self.cost >= 0:
             raise ConfigError(f"cost must be nonnegative, got {self.cost}")
-        if self.bid < 0:
+        if not self.bid >= 0:
             raise ConfigError(f"bid must be nonnegative, got {self.bid}")
 
 

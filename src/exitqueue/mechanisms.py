@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence
 
 from .core import ExitRequest, QueueState, RationalLike, exact_fraction, min_slack
@@ -50,10 +51,9 @@ def _fcfs(waiting: Sequence[ExitRequest]) -> Sequence[ExitRequest]:
 
 
 def _by_cost_desc(waiting: Sequence[ExitRequest], sort_key: str) -> list[ExitRequest]:
-    # One stable sort of the arrival-ordered list: equal keys stay FCFS.
-    if sort_key == "cost":
-        return sorted(waiting, key=lambda r: -r.cost)
-    return sorted(waiting, key=lambda r: -r.bid)
+    # One stable sort of the arrival-ordered list: reverse=True keeps equal
+    # keys in arrival order, so equal keys stay FCFS.
+    return sorted(waiting, key=attrgetter(sort_key), reverse=True)
 
 
 def _prefix(ordered: Sequence[ExitRequest], capacity: int) -> tuple[ExitRequest, ...]:

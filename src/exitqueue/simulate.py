@@ -63,9 +63,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from itertools import repeat
-from operator import truediv
+from operator import attrgetter, sub, truediv
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -700,19 +700,28 @@ def _unit_order(order: str, counts: list[int], costs: np.ndarray, cum: list[int]
     records, looked up at call time: a stable sort, so its order restricted
     to any waiting list is the order ``select`` gives that list. A heap of
     the waiting ranks replays the trial: each period pushes what arrived,
-    then pops what it processed.
+    then pops what it processed. Ranks are distinct, so a period with one
+    arrival and an exit does both in one ``heappushpop``.
     """
-    arrivals = list(map(_Arrival, costs.tolist(), repeat(0.0), range(costs.size)))
-    ranked = np.array([a.index for a in mechanisms._by_cost_desc(arrivals, order)], np.int64)
+    fields = zip(costs.tolist(), repeat(0.0), range(costs.size))
+    arrivals = list(map(tuple.__new__, repeat(_Arrival), fields))  # no constructor call each
+    ranking = mechanisms._by_cost_desc(arrivals, order)
+    ranked = np.fromiter(map(attrgetter("index"), ranking), np.int64, costs.size)
     rank = np.empty_like(ranked)
     rank[ranked] = np.arange(costs.size)
     rank, heap, popped, pos = rank.tolist(), [], [], 0  # popped: ranks, in processing order
-    for arrived, done, later in zip(counts, cum, cum[1:]):
-        if arrived:
+    for arrived, take in zip(counts, map(sub, cum[1:], cum)):
+        if arrived == 1 and take:
+            popped.append(heappushpop(heap, rank[pos]))
+            pos += 1
+            take -= 1
+        elif arrived:
             for k in rank[pos : pos + arrived]:
                 heappush(heap, k)
             pos += arrived
-        popped += [heappop(heap) for _ in range(later - done)]
+        while take:
+            popped.append(heappop(heap))
+            take -= 1
     return ranked[popped]
 
 

@@ -351,10 +351,15 @@ def test_request_validation() -> None:
         ExitRequest(validator="x", requested_at=0, cost=1.0)
     with pytest.raises(ConfigError):
         ExitRequest(validator="x", requested_at=1, cost=-1.0)
+    # nan < 0 is False: a nan cost or bid must still be refused.
+    with pytest.raises(ConfigError, match="cost must be nonnegative, got nan"):
+        ExitRequest(validator="x", requested_at=1, cost=math.nan)
     with pytest.raises(ConfigError):
         ExitRequest(validator="x", requested_at=1, cost=1.0, stake=0)
     with pytest.raises(ConfigError):
         ExitRequest(validator="x", requested_at=1, cost=1.0, bid=-0.5)
+    with pytest.raises(ConfigError, match="bid must be nonnegative, got nan"):
+        ExitRequest(validator="x", requested_at=1, cost=1.0, bid=math.nan)
 
 
 def test_constraint_validation() -> None:

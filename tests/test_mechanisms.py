@@ -7,15 +7,17 @@ selection on randomized queues.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from exitqueue.core import Constraint, ConstraintSet, ExitRequest, QueueState
 from exitqueue.errors import ConfigError, InvalidAlpha
-from exitqueue.mechanisms import Mechanism, alpha_capacity, round_half_down
+from exitqueue.mechanisms import Mechanism, _by_cost_desc, alpha_capacity, round_half_down
+from exitqueue.simulate import _Arrival
 
 
 def _req(vid: str, t: int, cost: float, stake: int = 1) -> ExitRequest:
@@ -215,3 +217,22 @@ def test_prio_selects_a_most_expensive_subset(state) -> None:
     left_out = [r for r in state.waiting if r not in chosen]
     if chosen and left_out:
         assert min(r.cost for r in chosen) >= max(r.cost for r in left_out)
+
+
+_TIED = st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf])
+
+
+@given(st.lists(st.tuples(_TIED, _TIED), max_size=30), st.sampled_from(["cost", "bid"]))
+@example([(0.0, -0.0), (-0.0, 0.0), (math.inf, math.inf), (1.0, 1.0), (math.inf, -0.0),
+          (0.0, math.inf)], "cost")
+@example([(0.0, -0.0), (-0.0, 0.0), (math.inf, math.inf), (1.0, 1.0), (math.inf, -0.0),
+          (0.0, math.inf)], "bid")
+def test_by_cost_desc_ranks_as_a_sort_on_the_negated_key(pairs, key) -> None:
+    # reverse=True keeps equal keys in arrival order, as an ascending sort on
+    # -key does: 0.0 ties -0.0 and inf ties inf. Compared by identity, so a
+    # swap of two equal records fails.
+    requests = [ExitRequest(f"v{i}", 1, cost, bid=bid) for i, (cost, bid) in enumerate(pairs)]
+    arrivals = [_Arrival(cost, bid, i) for i, (cost, bid) in enumerate(pairs)]
+    for xs in (requests, arrivals):
+        want = sorted(xs, key=lambda r: -getattr(r, key))
+        assert list(map(id, _by_cost_desc(xs, key))) == list(map(id, want))

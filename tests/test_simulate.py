@@ -930,6 +930,58 @@ def test_unit_stake_engine_follows_the_ranking_not_the_costs(monkeypatch) -> Non
     assert got != fcfs
 
 
+def _naive_unit_order(order: str, counts: list[int], costs: np.ndarray,
+                      cum: list[int]) -> list[int]:
+    """The order pass replayed with no heap: each period sorts its waiting
+    list, in arrival order, through _by_cost_desc and serves its count."""
+    arrivals = [simulate._Arrival(c, 0.0, i) for i, c in enumerate(costs.tolist())]
+    waiting, served, pos = [], [], 0
+    for arrived, done, later in zip(counts, cum, cum[1:]):
+        waiting += arrivals[pos : pos + arrived]
+        pos += arrived
+        taken = mechanisms._by_cost_desc(waiting, order)[: later - done]
+        served += [a.index for a in taken]
+        waiting = [a for a in waiting if a not in taken]
+    return served
+
+
+def _random_takes(rng: np.random.Generator, counts: list[int]) -> list[int]:
+    """Cumulative counts that serve 0..3 of the waiting each period."""
+    cum = [0]
+    for came in np.cumsum(counts).tolist():
+        cum.append(cum[-1] + int(rng.integers(0, min(came - cum[-1], 3) + 1)))
+    return cum
+
+
+def test_unit_order_serves_as_a_replay_without_a_heap() -> None:
+    # Hand-made periods, one per branch of the heap replay:
+    #   1: two arrivals, no exit;
+    #   2: one arrival that outranks the heap top (5.0 over 3.0), one exit;
+    #   3: one arrival tied with the top (3.0), which leaves first, one exit;
+    #   4: one arrival below the top (2.0), one exit;
+    #   5: an exit with no arrival;  6 and 10: idle;
+    #   7: five arrivals, two of them tied (4.0), three exits;
+    #   8: one arrival, no exit;  9: two exits, no arrival.
+    costs = np.array([3.0, 1.0, 5.0, 3.0, 2.0, 4.0, 0.5, 4.0, 6.0, 0.0, 7.0])
+    counts = [2, 1, 1, 1, 0, 0, 5, 1, 0, 0]
+    cum = [0, 0, 1, 2, 3, 4, 4, 7, 7, 9, 9]
+    cost_order = [2, 0, 3, 4, 8, 5, 7, 10, 1]
+    assert _naive_unit_order("cost", counts, costs, cum) == cost_order
+    assert simulate._unit_order("cost", counts, costs, cum).tolist() == cost_order
+    assert simulate._unit_order("bid", counts, costs, cum).tolist() == list(range(9))
+    # Seeded trials: tie-heavy costs, and heavy-tailed ones.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        counts = rng.choice([0, 1, 5], size=200, p=[0.5, 0.4, 0.1]).tolist()
+        cum = _random_takes(rng, counts)
+        size = sum(counts)
+        for costs in (rng.choice([0.0, 1.0, 2.5, math.inf], size=size),
+                      rng.pareto(2.0, size=size)):
+            for order in ("cost", "bid"):
+                want = _naive_unit_order(order, counts, costs, cum)
+                assert simulate._unit_order(order, counts, costs, cum).tolist() == want, seed
+
+
 def test_both_engines_raise_where_run_trial_does() -> None:
     # An absolute run that processes more than its initial stake, on either
     # engine: minslack runs the unit-stake engine, prio-minslack and the

@@ -140,10 +140,10 @@ _REQUIRED = object()
 
 
 class _Config(configparser.ConfigParser):
-    """A config file that records, by section, each key that _get reads."""
+    """A config file read as written (``%`` is plain text) that records each key _get reads."""
 
     def __init__(self) -> None:
-        super().__init__(inline_comment_prefixes=(";", "#"))
+        super().__init__(inline_comment_prefixes=(";", "#"), interpolation=None)
         self.seen: dict[str, set[str]] = {}
 
 
@@ -310,8 +310,6 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
             )
     except KeyError as exc:
         raise ConfigError(f"config {path} is missing section {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"config {path}: {exc}") from exc
 
     return ExperimentSpec(
         name=name,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -72,6 +73,17 @@ def exact_fraction(value: RationalLike) -> Fraction:
     raise ConfigError(f"cannot interpret {value!r} as a rational")
 
 
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int: a Python or numpy integer of at least ``least``.
+    Anything else, a float such as 2.7 or nan included, is a ConfigError."""
+    try:
+        if (whole := operator.index(value)) >= least:
+            return whole
+    except TypeError:
+        pass
+    raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class ConstraintMode(enum.Enum):
     """How a constraint's delta is read."""
 
@@ -93,11 +105,9 @@ class Constraint:
 
     def __init__(self, delta: RationalLike, window: int) -> None:
         object.__setattr__(self, "delta", exact_fraction(delta))
-        object.__setattr__(self, "window", int(window))
+        object.__setattr__(self, "window", _integer("window", window, 1))
         if self.delta < 0:
             raise ConfigError(f"delta must be nonnegative, got {self.delta}")
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
 
 
 @dataclass(frozen=True)
@@ -144,6 +154,7 @@ class ExitRequest:
 
     ``cost`` is the disutility per period of waiting per stake unit;
     ``bid`` is an optional reported price used only by pricing code.
+    ``stake`` and ``requested_at`` are integers of at least 1.
     """
 
     validator: str
@@ -153,10 +164,8 @@ class ExitRequest:
     bid: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.stake < 1:
-            raise ConfigError(f"stake must be >= 1, got {self.stake}")
-        if self.requested_at < 1:
-            raise ConfigError(f"requested_at must be >= 1, got {self.requested_at}")
+        _integer("stake", self.stake, 1)
+        _integer("requested_at", self.requested_at, 1)
         if not self.cost >= 0:
             raise ConfigError(f"cost must be nonnegative, got {self.cost}")
         if not self.bid >= 0:

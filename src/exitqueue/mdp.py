@@ -601,27 +601,16 @@ def load_policy(path) -> Policy:
 # =============================================================
 
 
-def _validate_queue(policy: Policy, state: QueueState, arrival_model: ArrivalModel) -> None:
-    cs = state.constraints
-    if cs != policy.constraints:
-        space = policy.space
-        raise ModelMismatch(
-            f"policy solved for single absolute constraint ({space.budget},{space.window}); "
-            f"queue has {[(str(c.delta), c.window) for c in cs]} in {cs.mode.value} mode"
-        )
+def queue_to_mdp_state(state: QueueState, arrival_model: ArrivalModel, window: int) -> MdpState:
+    """Count view of a live queue. ModelMismatch for a request the model does
+    not count: one of neither cost, or else of a stake other than 1."""
+    w_high = 0
     for r in state.waiting:
-        arrival_model.cost_class(r.cost)
+        w_high += arrival_model.cost_class(r.cost) == "high"
         if r.stake != 1:
             raise ModelMismatch(f"model counts unit stakes; {r.validator} has stake {r.stake}")
-
-
-def queue_to_mdp_state(state: QueueState, arrival_model: ArrivalModel, window: int) -> MdpState:
-    """Count view of a live queue."""
-    w_low = sum(1 for r in state.waiting if r.cost == arrival_model.cost_low)
-    w_high = sum(1 for r in state.waiting if r.cost == arrival_model.cost_high)
-    recent = state.processed_totals[::-1][: window - 1]  # most recent first
-    hist = recent + (0,) * (window - 1 - len(recent))
-    return MdpState(w_low, w_high, hist)
+    hist = (state.processed_totals[::-1] + (0,) * window)[: window - 1]  # most recent first
+    return MdpState(len(state.waiting) - w_high, w_high, hist)
 
 
 def optimal_select(
@@ -634,7 +623,8 @@ def optimal_select(
     classes matching the arrival model, and ConfigError for a window
     history outside the budget.
     """
-    _validate_queue(policy, state, arrival_model)
+    if state.constraints != policy.constraints:
+        raise ModelMismatch(f"queue runs {state.constraints}, not the policy's {policy.constraints}")
     w_low, w_high, hist = queue_to_mdp_state(state, arrival_model, policy.space.window)
     take = int(policy.take(w_low, w_high, policy.space.history_index(hist)))
     return _prefix(_by_cost_desc(state.waiting, "cost"), take)
@@ -646,11 +636,8 @@ class OptimalMechanism:
 
     policy: Policy
     arrival_model: ArrivalModel
+    name = "optimal"
     order = "cost"  # optimal_select takes a prefix of _by_cost_desc
-
-    @property
-    def name(self) -> str:
-        return "optimal"
 
     def select(self, state: QueueState) -> tuple[ExitRequest, ...]:
         return optimal_select(self.policy, state, self.arrival_model)
@@ -751,15 +738,14 @@ def vcg_estimate(
     conditions on the state at arrival and averages over model futures.
     """
     state, agent_period = _replay_to_agent(policy, arrival_model, trajectory, agent)
-    _validate_queue(policy, state, arrival_model)
     space = policy.space
+    w_low0, w_high0, hist0 = queue_to_mdp_state(state, arrival_model, space.window)
     gamma = policy.discount
     horizon = max(1, math.ceil(math.log(1e-10) / math.log(gamma)))  # gamma^horizon <= 1e-10
 
     agent_is_high = arrival_model.cost_class(agent.cost) == "high"
     order = _by_cost_desc(state.waiting, "cost")
     ahead0 = next(i for i, r in enumerate(order) if r.validator == agent.validator)
-    w_low0, w_high0, hist0 = queue_to_mdp_state(state, arrival_model, space.window)
     absent = MdpState(w_low0 - (not agent_is_high), w_high0 - agent_is_high, hist0)
 
     exact = arrival_model.is_deterministic()

@@ -75,6 +75,7 @@ from .core import (
     ConstraintSet,
     ExitRequest,
     QueueState,
+    _integer,
     step,
 )
 from .distributions import (
@@ -129,13 +130,10 @@ class SimulationConfig:
     initial_stake: int | None = None
 
     def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ConfigError(f"steps must be positive, got {self.steps}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be positive, got {self.trials}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if not 0 <= self.burn_in < self.steps:
+        _integer("steps", self.steps, 1)
+        _integer("trials", self.trials, 1)
+        _integer("seed", self.seed, 0)
+        if _integer("burn_in", self.burn_in, 0) >= self.steps:
             raise ConfigError(f"burn_in must lie in [0, steps), got {self.burn_in}")
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
@@ -158,8 +156,8 @@ class SimulationConfig:
             raise ConfigError(f"values must draw finite nonnegative costs, got {self.values}")
         if self.constraints.mode is ConstraintMode.FRACTION_OF_STAKE and self.initial_stake is None:
             raise ConfigError("fractional constraints need initial_stake")
-        if self.initial_stake is not None and self.initial_stake < 0:
-            raise ConfigError(f"initial_stake must be nonnegative, got {self.initial_stake}")
+        if self.initial_stake is not None:
+            _integer("initial_stake", self.initial_stake, 0)
         if isinstance(self.mechanism, OptimalMechanism):
             _check_policy_fits(self.mechanism, self)
 
@@ -263,15 +261,10 @@ def run_trial(config: SimulationConfig, seed: int) -> TrialResult:
 def _discount_weights(gamma: float, n: int) -> np.ndarray:
     """gamma, gamma^2, ..., gamma^n, each the previous times gamma.
 
-    Repeated multiplication, not powers, so that both engines and every
-    trial weight period t by the same float.
+    A running product, not powers, so that both engines and every trial
+    weight period t by the same float.
     """
-    weights = np.empty(n, dtype=np.float64)
-    weight = gamma
-    for t in range(n):
-        weights[t] = weight
-        weight *= gamma
-    return weights
+    return np.cumprod(np.full(n, gamma, dtype=np.float64))
 
 
 def _discounted(stream: np.ndarray, weights: np.ndarray, gamma: float) -> float:

@@ -338,6 +338,15 @@ def test_load_experiment_reads_uniform_lo_and_hi(tmp_path) -> None:
     assert (spec.values.lo, spec.values.hi) == (2.0, 3.0)
 
 
+@pytest.mark.parametrize("name", ["100%", "%(steps)s", "run-%%"])
+def test_load_experiment_reads_values_as_written(tmp_path, name) -> None:
+    # No interpolation: a % is an ordinary character, never a reference.
+    text = BASE.replace("name = tiny", f"name = {name}").replace("path = policies/tiny.policy\n", "")
+    spec = load_experiment(_config(tmp_path, text))
+    assert spec.name == name
+    assert spec.policy.path == (tmp_path / "policies" / f"{name}.policy").resolve()
+
+
 # =============================================================
 # simulate
 # =============================================================

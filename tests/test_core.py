@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +82,11 @@ def test_exact_fraction_rejects_non_finite() -> None:
         exact_fraction(float("nan"))
     with pytest.raises(ConfigError):
         exact_fraction(float("inf"))
+
+
+def test_exact_fraction_rejects_a_non_number() -> None:
+    with pytest.raises(ConfigError, match="cannot interpret None as a rational"):
+        exact_fraction(None)
 
 
 def test_capacity_fraction_floors_exactly() -> None:
@@ -360,6 +366,14 @@ def test_request_validation() -> None:
         ExitRequest(validator="x", requested_at=1, cost=1.0, bid=-0.5)
     with pytest.raises(ConfigError, match="bid must be nonnegative, got nan"):
         ExitRequest(validator="x", requested_at=1, cost=1.0, bid=math.nan)
+    # stake and requested_at are integers: a fraction or a nan is refused,
+    # and a nan stake would otherwise fit under any capacity.
+    for field in ("stake", "requested_at"):
+        for bad in (1.5, math.nan, 2.0):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+                ExitRequest(**{"validator": "x", "requested_at": 1, "cost": 1.0, field: bad})
+    numpy_ints = ExitRequest("x", np.int64(3), 1.0, stake=np.int32(2))
+    assert (numpy_ints.requested_at, numpy_ints.stake) == (3, 2)
 
 
 def test_constraint_validation() -> None:
@@ -367,6 +381,12 @@ def test_constraint_validation() -> None:
         Constraint(-1, 3)
     with pytest.raises(ConfigError):
         Constraint(2, 0)
+    # A window is a whole number of periods, never rounded toward one.
+    for bad in (2.7, 2.0, math.nan, "2"):
+        with pytest.raises(ConfigError, match="window must be an integer"):
+            Constraint(2, bad)
+    assert Constraint(2, np.int64(3)) == Constraint(2, 3)
+    assert type(Constraint(2, np.int64(3)).window) is int
     with pytest.raises(ConfigError):
         ConstraintSet([])
     with pytest.raises(ConfigError):
@@ -401,6 +421,9 @@ def test_state_validation() -> None:
             constraints=cs, period=2, waiting=(), processed_totals=(0,),
             stake_history=(5,),
         )
+    fraction = ConstraintSet([Constraint("0.5", 2)], ConstraintMode.FRACTION_OF_STAKE)
+    with pytest.raises(ConfigError, match="fraction-mode constraints require a stake history"):
+        QueueState(constraints=fraction, period=1, waiting=())
 
 
 def test_state_requires_arrival_order() -> None:

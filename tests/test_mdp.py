@@ -488,6 +488,12 @@ def test_policy_file_roundtrip(tmp_path) -> None:
     assert policy_text(back) == path.read_text(encoding="ascii")
 
 
+def test_save_policy_refuses_a_path_under_a_file(tmp_path) -> None:
+    (tmp_path / "plain").write_text("not a directory\n", encoding="ascii")
+    with pytest.raises(ConfigError, match="cannot write policy file"):
+        save_policy(_tiny_policy(), tmp_path / "plain" / "tiny.policy")
+
+
 def test_one_state_policy_roundtrips(tmp_path) -> None:
     # cap 0, budget 0, window 1: a file with a single state row.
     policy = value_iteration(build_model(FLAGSHIP, cap=0, budget=0, window=1))
@@ -595,6 +601,18 @@ def test_queue_to_mdp_state_counts() -> None:
         ExitRequest("c", 1, 1.0),
     ]
     assert queue_to_mdp_state(_queue(reqs), FLAGSHIP, window=2) == MdpState(2, 1, (0,))
+
+
+def test_queue_to_mdp_state_refuses_requests_the_model_does_not_count() -> None:
+    with pytest.raises(ModelMismatch, match="cost 2.5 is neither"):
+        queue_to_mdp_state(_queue([ExitRequest("x", 1, 2.5)]), FLAGSHIP, window=2)
+    heavy = _queue([ExitRequest("a", 1, 10.0), ExitRequest("x", 1, 1.0, stake=2)])
+    with pytest.raises(ModelMismatch, match="x has stake 2"):
+        queue_to_mdp_state(heavy, FLAGSHIP, window=2)
+    # Per request the class is checked before the stake.
+    both = _queue([ExitRequest("x", 1, 2.5, stake=2)])
+    with pytest.raises(ModelMismatch, match="cost 2.5 is neither"):
+        queue_to_mdp_state(both, FLAGSHIP, window=2)
 
 
 def test_queue_to_mdp_state_reverses_recent_history() -> None:

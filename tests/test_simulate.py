@@ -57,7 +57,7 @@ from exitqueue.simulate import (
     sample_arrival_schedule,
     steady_state_disutility,
 )
-from exitqueue.simulate import _fastlane_eligible, _unit_audit
+from exitqueue.simulate import _discount_weights, _fastlane_eligible, _unit_audit
 
 FLAGSHIP_COUNTS = Discrete((0, 1, 5), (0.5, 0.4, 0.1))
 FLAGSHIP_VALUES = Discrete((1, 10), (0.9, 0.1))
@@ -122,6 +122,18 @@ def test_discounted_reward_of_constant_stream_is_one_per_period() -> None:
     assert abs(discounted_reward(r, g) + 0.9) < 1e-12
 
 
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9, 0.999999])
+def test_discount_weights_are_a_running_product(gamma) -> None:
+    # The oracle multiplies once a period; powers differ from it in the last
+    # bit, and a subnormal tail must match too.
+    for n in (0, 1, 3, 350, 10_000):
+        want, weight = [], gamma
+        for _ in range(n):
+            want.append(weight)
+            weight *= gamma
+        assert _discount_weights(gamma, n).tolist() == want
+
+
 def test_discounted_reward_validates_gamma() -> None:
     r = _result([0.0], [()])
     for bad in (0.0, 1.0, 1.5, -0.2):
@@ -184,6 +196,14 @@ def test_steady_state_charges_leftovers_at_final_period() -> None:
     )
     # Never processed: charged as if processed at the last period (delay 3).
     assert steady_state_disutility(r, burn_in=0) == -9.0
+
+
+def test_trial_result_refuses_a_reward_or_a_negative_delay() -> None:
+    with pytest.raises(ConfigError, match="penalties must be nonpositive"):
+        _result([-1.0, 0.5], [(), ()])
+    early = ((ExitRequest("a", 2, 1.0), -1, 1.0),)
+    with pytest.raises(ConfigError, match="processing delays must be nonnegative"):
+        _result([0.0, 0.0], [(), early])
 
 
 def test_steady_state_raises_without_withdrawals() -> None:
@@ -1357,6 +1377,14 @@ def test_config_validation() -> None:
         SimulationConfig(**{**good, "seed": -1})
     with pytest.raises(ConfigError, match="initial_stake"):
         SimulationConfig(**{**good, "initial_stake": -1})
+    # Counts are integers: a fraction or a nan is refused here, not by the
+    # engine that would first use it as a length or a seed.
+    steady = {**good, "metric": "steady-state", "discount": None}
+    for field, bad, base in [("steps", 2.5, good), ("trials", math.nan, good), ("seed", 0.5, good),
+                             ("burn_in", 1.5, steady), ("initial_stake", 2.5, good)]:
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SimulationConfig(**{**base, field: bad})
+    SimulationConfig(**{**good, "steps": np.int64(10), "trials": np.int32(2), "seed": np.uint8(1)})
     for values in (
         Discrete((-1, 10), (0.9, 0.1)),
         Discrete((1, math.nan), (0.9, 0.1)),
@@ -1371,6 +1399,9 @@ def test_config_validation() -> None:
     ):
         with pytest.raises(ConfigError, match="values must draw finite nonnegative costs"):
             SimulationConfig(**{**good, "values": values})
+    # A value type outside ValueDistribution has no cost rule to pass.
+    with pytest.raises(ConfigError, match="values must draw finite nonnegative costs"):
+        SimulationConfig(**{**good, "values": Fraction(1)})
 
 
 _MECHS = [

@@ -101,6 +101,8 @@ def test_trajectory_validation() -> None:
     twin = ExitRequest("whale", 1, 1.0)
     with pytest.raises(ModelMismatch):
         vcg_estimate(policy, [[twin]], agent, QUIET)
+    with pytest.raises(ModelMismatch, match="agent whale appears twice"):
+        vcg_estimate(policy, [[agent], [agent]], agent, QUIET)
     misdated = ExitRequest("whale", 3, 10.0)
     with pytest.raises(ModelMismatch):
         vcg_estimate(policy, [[misdated]], misdated, QUIET)
@@ -109,6 +111,16 @@ def test_trajectory_validation() -> None:
     stochastic_policy = _policy(SPARSE, cap=4, budget=1, window=1)
     with pytest.raises(ConfigError):
         vcg_estimate(stochastic_policy, [[agent]], agent, SPARSE, samples=0)
+
+
+def test_deterministic_rollout_is_checked_against_the_value_function() -> None:
+    # Solved for two low arrivals a period but priced under none: the
+    # without-agent rollout stays at 0, and the value function does not.
+    busy = ArrivalModel(((2, 1.0),), 0.0, 1.0, 10.0)
+    policy = _policy(busy, cap=4, budget=1, window=1)
+    agent = ExitRequest("whale", 1, 10.0)
+    with pytest.raises(ModelMismatch, match="disagrees with the value function"):
+        vcg_estimate(policy, [[agent]], agent, QUIET)
 
 
 # Recorded before the payment rollouts were rewritten as one array of both

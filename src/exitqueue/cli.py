@@ -555,7 +555,7 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
         k = int(rng.integers(1, 4))
         cs = ConstraintSet(
             [
-                Constraint(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+                Constraint(rng.integers(1, 4), rng.integers(1, 4))
                 for _ in range(int(rng.integers(1, 3)))
             ],
             ConstraintMode.ABSOLUTE_COUNT,

@@ -58,19 +58,21 @@ def exact_fraction(value: RationalLike) -> Fraction:
 
     Floats are interpreted at their shortest decimal repr, so 0.1 becomes
     1/10 rather than the binary approximation. This keeps capacity floors
-    and half-down rounding exact where it is observable.
+    and half-down rounding exact where it is observable. Any integer,
+    Python or numpy, is read exactly, as ``_integer`` reads one.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ConfigError(f"non-finite rational value: {value!r}")
         return Fraction(str(value))
     if isinstance(value, str):
         return Fraction(value)
-    raise ConfigError(f"cannot interpret {value!r} as a rational")
+    try:
+        return Fraction(operator.index(value))
+    except TypeError:
+        raise ConfigError(f"cannot interpret {value!r} as a rational") from None
 
 
 def _integer(name: str, value, least: int) -> int:
@@ -82,6 +84,15 @@ def _integer(name: str, value, least: int) -> int:
     except TypeError:
         pass
     raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _least(name: str, values: Sequence) -> int:
+    """The least of ``values`` (0 for none), each read as ``_integer`` reads
+    one; a float such as 0.5 is a ConfigError."""
+    try:
+        return min(map(operator.index, values), default=0)
+    except TypeError:
+        raise ConfigError(f"{name} entries must be integers, got {values!r}") from None
 
 
 class ConstraintMode(enum.Enum):
@@ -182,7 +193,8 @@ class QueueState:
     ``stake_history`` is None when no fraction constraint needs it.
 
     The constructor stores the sequences as tuples and validates every
-    field; ``step`` builds each successor through it too.
+    field, reading the period and every count by the one integer rule
+    (``_integer``); ``step`` builds each successor through it too.
     """
 
     constraints: ConstraintSet
@@ -197,19 +209,18 @@ class QueueState:
         init(self, "processed_totals", tuple(self.processed_totals))
         if self.stake_history is not None:
             init(self, "stake_history", tuple(self.stake_history))
+        init(self, "period", _integer("period", self.period, 1))
         totals, stakes, period = self.processed_totals, self.stake_history, self.period
-        if period < 1:
-            raise ConfigError(f"period must be >= 1, got {period}")
         if len(totals) != period - 1:
             raise ConfigError(
                 f"processed_totals covers {len(totals)} periods, expected {period - 1}"
             )
-        if min(totals, default=0) < 0:
+        if _least("processed_totals", totals) < 0:
             raise NegativeProcessed(f"negative processed total in {totals}")
         if stakes is not None:
             if len(stakes) != period:
                 raise ConfigError(f"stake_history has {len(stakes)} entries, expected {period}")
-            if min(stakes, default=0) < 0:
+            if _least("stake_history", stakes) < 0:
                 raise ConfigError("stake_history entries must be nonnegative")
         elif self.constraints.mode is ConstraintMode.FRACTION_OF_STAKE:
             raise ConfigError("fraction-mode constraints require a stake history")
@@ -239,7 +250,7 @@ class QueueState:
         arrivals: Iterable[ExitRequest] = (),
     ) -> "QueueState":
         """Fresh period-1 state holding the first arrival batch."""
-        history = None if total_stake is None else (int(total_stake),)
+        history = None if total_stake is None else (_integer("total_stake", total_stake, 0),)
         return cls(constraints=constraints, period=1, waiting=arrivals, stake_history=history)
 
 

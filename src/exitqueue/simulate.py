@@ -19,8 +19,10 @@ recorded. Two metrics summarize a trial:
 monte_carlo runs trials at seeds seed, seed+1, ... and aggregates one metric.
 Trials are independent, and every trial draws requests of stake 1 and bid 0.
 Two engines draw every trial's arrivals through _draw_arrivals, as run_trial
-does, with results bit-identical to run_trial's, as tests pin. The queue's
-shape picks the engine:
+does, with results bit-identical to run_trial's, as tests pin. It draws
+several trials at once, each from its own generator, so its numpy calls are
+paid once per chunk of trials, not once per trial. The queue's shape picks
+the engine:
 
   * the count engine, vectorized across trials, takes a discounted run whose
     queue is a pair of class counts: one cost level under any order, or two
@@ -201,14 +203,25 @@ class TrialResult:
 
 
 def _draw_arrivals(
-    rng: np.random.Generator, steps: int, arrival_counts: Discrete, values: ValueDistribution
+    rngs: Sequence[np.random.Generator], steps: int, arrival_counts: Discrete,
+    values: ValueDistribution,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A whole trial's arrivals as two bulk draws: the count of every period
-    in one call, then every cost in a second. run_trial and both of
-    monte_carlo's engines draw every trial through here, so each sees
-    identical arrivals."""
-    counts = np.asarray(arrival_counts.sample(rng, steps), dtype=np.int64)
-    return counts, np.asarray(values.sample(rng, int(counts.sum())), dtype=np.float64)
+    """The arrivals of one trial per generator, drawn together: their counts
+    (trials x steps) and every cost, trial after trial. Each generator draws
+    its trial's count of every period in one call, then every cost in a
+    second, as Discrete.sample would; a Discrete looks the uniforms of all
+    the trials up at once. run_trial and both of monte_carlo's engines draw
+    every trial through here, so each sees identical arrivals."""
+    uniforms = np.empty((len(rngs), steps))
+    for rng, row in zip(rngs, uniforms):
+        rng.random(out=row)
+    counts = arrival_counts.points_at(uniforms).astype(np.int64, copy=False)
+    sizes = counts.sum(axis=1).tolist()
+    if isinstance(values, Discrete):
+        costs = values.points_at(np.concatenate([rng.random(k) for rng, k in zip(rngs, sizes)]))
+    else:
+        costs = np.concatenate([values.sample(rng, k) for rng, k in zip(rngs, sizes)])
+    return counts, costs.astype(np.float64, copy=False)
 
 
 def sample_arrival_schedule(
@@ -219,11 +232,11 @@ def sample_arrival_schedule(
 ) -> list[list[ExitRequest]]:
     """Whole-trial arrival schedule: one batch per period, labelled
     ``p<period>.<i>`` and requested at that period."""
-    counts, costs = _draw_arrivals(rng, steps, arrival_counts, values)
+    counts, costs = _draw_arrivals([rng], steps, arrival_counts, values)
     costs = costs.tolist()
     schedule: list[list[ExitRequest]] = []
     pos = 0
-    for t, k in enumerate(counts.tolist(), start=1):
+    for t, k in enumerate(counts[0].tolist(), start=1):
         schedule.append([ExitRequest(f"p{t}.{i}", t, costs[pos + i]) for i in range(k)])
         pos += k
     return schedule
@@ -458,8 +471,8 @@ def make_histogram(values: Sequence[float], bin_width: float = 0.1) -> list[Hist
 # under any number of windows, as every optimal policy that SimulationConfig
 # admits has. FCFS and bid orders interleave two classes by
 # arrival, which counts cannot express, and the steady-state metric needs
-# who left when, so those go to the unit-stake engine. Each trial draws its
-# arrivals through _draw_arrivals, as run_trial does, and keeps only its
+# who left when, so those go to the unit-stake engine. Trials draw their
+# arrivals through _draw_arrivals, as run_trial does, and keep only their
 # per-period counts of low- and of high-cost arrivals. A heuristic's period
 # loop is the recurrence of _unit_counts, through _free_tables; both read
 # the window rule of _windows.
@@ -473,7 +486,16 @@ def make_histogram(values: Sequence[float], bin_width: float = 0.1) -> list[Hist
 # doubling past 1 << 19 added about 25 MB of peak RSS for a few percent.
 # The same overhead makes a call of a few trials slower here than on the
 # unit-stake engine: at 350 steps they are even at about 11 trials.
+#
+# A block is drawn in chunks of _DRAW_CELLS // steps trials (46 at 350
+# steps), each chunk in one _draw_arrivals call. A chunk's highs per period
+# come from one running count of its high costs, read where each period's
+# arrivals end, not from a split per trial. The chunk trades speed against
+# memory: on flagship, drawing a whole block at once raised the peak RSS of
+# a monte_carlo call from 56 to 90 MB and drew slower; 1 << 14 cells cost
+# 3 MB over 1 << 12 and drew about 10% faster (2 cores, numpy 2.4).
 _BLOCK_CELLS = 1 << 19
+_DRAW_CELLS = 1 << 14
 
 
 def _fastlane_eligible(config: SimulationConfig) -> bool:
@@ -560,7 +582,6 @@ def _count_blocks(
     # From the ints, not the points: a Discrete may hold floats (5.0 -> float16).
     most = max(k for k, _ in config.arrival_counts.as_count_dist())
     small = np.min_scalar_type(most)
-    periods = np.arange(n)
     # No queue holds more than n * most requests, so below 2**53 no sum rounds
     # and a period's cost is one sum; past it, what stays and what leaves
     # round apart, as run_trial rounds them. Rounding apart in every run
@@ -579,18 +600,23 @@ def _count_blocks(
         lookup, tables = _free_tables(config, n * most)
 
     block, stop = max(1, _BLOCK_CELLS // n), config.seed + config.trials
+    chunk = max(1, _DRAW_CELLS // n)
     for first in range(config.seed, stop, block):
         m = min(block, stop - first)
         lows = np.empty((m, n), dtype=small)
         highs = np.empty((m, n), dtype=small) if two else None
-        for i in range(m):
-            rng = np.random.default_rng(first + i)
-            c, costs = _draw_arrivals(rng, n, config.arrival_counts, config.values)
-            lows[i] = c
+        for i in range(0, m, chunk):
+            j = min(i + chunk, m)
+            rngs = [np.random.default_rng(seed) for seed in range(first + i, first + j)]
+            counts, costs = _draw_arrivals(rngs, n, config.arrival_counts, config.values)
             if two:
-                highs[i] = np.bincount(periods.repeat(c)[costs == points[1]], minlength=n)
-        if two:  # one subtraction a block, not one a trial
-            lows -= highs
+                # seen[k]: the highs among the chunk's first k costs. Read
+                # where each period's arrivals end, its differences are the
+                # periods' highs, trial after trial.
+                seen = np.concatenate([[0], np.cumsum(costs == points[1])])
+                highs[i:j] = np.diff(seen[counts.cumsum()], prepend=0).reshape(counts.shape)
+                counts -= highs[i:j]
+            lows[i:j] = counts
 
         low = np.zeros(m, dtype=np.int64)
         high = np.zeros(m, dtype=np.int64) if two else None
@@ -640,9 +666,10 @@ def _count_blocks(
 # a prefix of the arrivals), and each metric is scored from counts and leavers.
 
 # Trials are independent, so the engine runs one block of trials at a time,
-# as the count engine does: it runs both passes on each trial of the block,
-# and monte_carlo checks and audits the block before one scorer reads it, so
-# the audit and the scorer pay their overhead per block, not per trial.
+# as the count engine does: it draws the block in one _draw_arrivals call,
+# runs both passes on each trial of it, and monte_carlo checks and audits
+# the block before one scorer reads it, so the draw, the audit and the
+# scorer pay their overhead per block, not per trial.
 # A block holds _UNIT_CELLS // steps trials (at least one): 11 at 350 steps,
 # and one 10,000-step trial a block of its own. Blocks of 1 << 14 cells ran
 # no faster, and added 2.0 MB to the peak RSS of `exitqueue simulate` on
@@ -823,26 +850,22 @@ def _unit_blocks(
     sum overflows."""
     n = config.steps
     weights = _discount_weights(config.discount, n) if config.metric == "discounted" else None
-    small = np.min_scalar_type(max(k for k, _ in config.arrival_counts.as_count_dist()))
     order = config.mechanism.order
     capacity: dict[int, int] = {}
     block, stop = max(1, _UNIT_CELLS // n), config.seed + config.trials
     for first in range(config.seed, stop, block):
-        m = min(block, stop - first)
-        counts = np.empty((m, n), dtype=small)
-        cum = np.empty((m, n + 1), dtype=np.int64)
-        costs, served, pos = [], [], 0
-        for i in range(m):
-            rng = np.random.default_rng(first + i)
-            counts[i], drawn = _draw_arrivals(rng, n, config.arrival_counts, config.values)
-            arrived = counts[i].tolist()
+        rngs = [np.random.default_rng(seed) for seed in range(first, min(first + block, stop))]
+        counts, costs = _draw_arrivals(rngs, n, config.arrival_counts, config.values)
+        cum = np.empty((len(rngs), n + 1), dtype=np.int64)
+        served, pos = [], 0
+        ends = counts.sum(axis=1).cumsum().tolist()  # where each trial's costs end
+        for i, (arrived, end) in enumerate(zip(counts.tolist(), ends)):
             cum[i] = walked = _unit_counts(config, arrived, capacity)
             went = (np.arange(walked[-1]) if order == "fcfs"
-                    else _unit_order(order, arrived, drawn, walked))
-            costs.append(drawn)
+                    else _unit_order(order, arrived, costs[pos:end], walked))
             served.append(went + pos)  # into the block
-            pos += drawn.size
-        costs, served = np.concatenate(costs), np.concatenate(served)
+            pos = end
+        served = np.concatenate(served)
         if config.metric == "discounted":
             streams = _unit_streams(counts, costs, cum, served)
             yield first, cum, _discounted_values(streams, weights, config.discount)

@@ -89,6 +89,14 @@ def test_exact_fraction_rejects_a_non_number() -> None:
         exact_fraction(None)
 
 
+def test_exact_fraction_reads_any_integer() -> None:
+    # A numpy integer is read exactly, as a window is: no int() at the call.
+    assert Constraint(np.int64(2), 3) == Constraint(2, 3)
+    assert exact_fraction(np.uint8(7)) == Fraction(7) and exact_fraction(True) == Fraction(1)
+    with pytest.raises(ConfigError, match="cannot interpret .* as a rational"):
+        exact_fraction(np.float32(0.5))
+
+
 def test_capacity_fraction_floors_exactly() -> None:
     # Binary 0.3 * 10 = 2.999...96 would floor to 2; the decimal reading
     # must give exactly 3.
@@ -424,6 +432,25 @@ def test_state_validation() -> None:
     fraction = ConstraintSet([Constraint("0.5", 2)], ConstraintMode.FRACTION_OF_STAKE)
     with pytest.raises(ConfigError, match="fraction-mode constraints require a stake history"):
         QueueState(constraints=fraction, period=1, waiting=())
+
+
+def test_state_reads_every_count_by_the_integer_rule() -> None:
+    # A fractional stake, period, processed total or stake entry is refused,
+    # never rounded; numpy integers are accepted.
+    cs = _abs([(2, 3)])
+    with pytest.raises(ConfigError, match="total_stake must be an integer"):
+        QueueState.initial(cs, total_stake=2.7)
+    with pytest.raises(ConfigError, match="period must be an integer"):
+        QueueState(constraints=cs, period=2.0, waiting=(), processed_totals=(0,))
+    with pytest.raises(ConfigError, match="processed_totals entries must be integers"):
+        QueueState(constraints=cs, period=2, waiting=(), processed_totals=(0.5,))
+    with pytest.raises(ConfigError, match="stake_history entries must be integers"):
+        QueueState(constraints=cs, period=2, waiting=(), processed_totals=(0,),
+                   stake_history=(5, 4.5))
+    state = QueueState(constraints=cs, period=np.int64(2), waiting=(),
+                       processed_totals=(np.int64(1),), stake_history=(5, np.int64(4)))
+    assert state.period == 2 and type(state.period) is int
+    assert QueueState.initial(cs, total_stake=np.int64(9)).stake_history == (9,)
 
 
 def test_state_requires_arrival_order() -> None:

@@ -72,6 +72,45 @@ def test_discrete_sample_matches_generator_choice(d) -> None:
             assert np.array_equal(ours, theirs) and ours.dtype == theirs.dtype, (seed, size)
 
 
+@pytest.mark.parametrize(
+    "probs",
+    [(0.55, 0.35, 0.1), (0.3, 0.0, 0.7), (0.0, 0.4, 0.6), (0.3, 0.3, 0.4 + 1e-10),
+     tuple(np.random.default_rng(5).dirichlet(np.ones(20))), (1 / 200,) * 200,
+     (1 / 300,) * 300],
+    ids=["three", "zero-middle", "zero-first", "over-one", "twenty", "byte-index",
+         "searched"],
+)
+def test_points_at_is_searchsorted_right(probs) -> None:
+    # The bulk lookup counts the cdf entries at or below each uniform, as
+    # searchsorted(side="right") does, on every edge a uniform in [0, 1) can
+    # meet: each cdf entry below 1.0 (a zero-probability point repeats one),
+    # both of its neighbours, 0.0 and the largest double below 1.0.
+    d = Discrete(range(len(probs)), probs)
+    edges = d.cdf[d.cdf < 1.0]
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[(0.0 <= u) & (u < 1.0)]
+    assert u.size >= 3 * (len(probs) - 1)
+    assert d.points_at(u).tolist() == d.cdf.searchsorted(u, side="right").tolist()
+    # Any shape, and the points' own dtype.
+    grid = np.random.default_rng(1).random((7, 50))
+    assert np.array_equal(d.points_at(grid), d.cdf.searchsorted(grid, side="right"))
+    assert d.points_at(grid).dtype == np.asarray(d.points).dtype
+
+
+def test_generator_random_fills_a_row_as_it_draws_one() -> None:
+    # Every draw fills its rows of count uniforms in place; they must be the
+    # doubles random(n) gives, and leave the stream where random(n) does.
+    for seed in range(200):
+        rows = np.empty((3, 350))
+        rng = np.random.default_rng(seed)
+        for row in rows:
+            rng.random(out=row)
+        tail = rng.random(5)
+        whole = np.random.default_rng(seed).random(3 * 350 + 5)
+        assert np.array_equal(np.concatenate([rows.ravel(), tail]), whole), seed
+
+
 def test_discrete_cdf_is_no_part_of_its_identity() -> None:
     d = Discrete((1, 10), (0.9, 0.1))
     assert d == Discrete((1, 10), (0.9, 0.1)) and hash(d) == hash(Discrete((1, 10), (0.9, 0.1)))

@@ -1023,30 +1023,55 @@ def test_both_engines_raise_where_run_trial_does() -> None:
 
 
 @pytest.mark.parametrize(
-    ("make", "metric", "count_engine"),
-    [(_flagship_optimal, "discounted", True), (Mechanism.prio_minslack, "discounted", True),
-     (Mechanism.minslack, "discounted", False), (Mechanism.prio_minslack, "steady-state", False)],
-    ids=["optimal", "prio-minslack", "minslack", "prio-minslack-steady-state"],
+    ("make", "metric", "count_engine", "chunk"),
+    [(_flagship_optimal, "discounted", True, None),
+     (Mechanism.prio_minslack, "discounted", True, None),
+     (Mechanism.prio_minslack, "discounted", True, 3),
+     (Mechanism.minslack, "discounted", False, None),
+     (Mechanism.prio_minslack, "steady-state", False, None)],
+    ids=["optimal", "prio-minslack", "prio-minslack-chunk3", "minslack",
+         "prio-minslack-steady-state"],
 )
 def test_each_engine_draws_each_trial_once_through_draw_arrivals(make, metric, count_engine,
-                                                                 monkeypatch) -> None:
+                                                                 chunk, monkeypatch) -> None:
     # One routine draws every trial's arrivals, once per trial in seed order,
-    # whichever engine runs; blocks of four trials cross a block boundary.
+    # whichever engine runs; blocks of four trials cross a block boundary,
+    # and draws of three trials a chunk boundary inside a count-engine block.
     config = _flagship(make(), steps=40, trials=10, seed=11, metric=metric,
                        discount=0.9 if metric == "discounted" else None,
                        burn_in=0 if metric == "discounted" else 5)
     want = _object_values(config)
     draw, seeds = simulate._draw_arrivals, []
 
-    def recorded(rng, *args):
-        seeds.append(rng.bit_generator.seed_seq.entropy)
-        return draw(rng, *args)
+    def recorded(rngs, *args):
+        seeds.extend(rng.bit_generator.seed_seq.entropy for rng in rngs)
+        return draw(rngs, *args)
 
     monkeypatch.setattr(simulate, "_draw_arrivals", recorded)
     monkeypatch.setattr(simulate, "_BLOCK_CELLS", 4 * config.steps)
+    if chunk is not None:
+        monkeypatch.setattr(simulate, "_DRAW_CELLS", chunk * config.steps)
     assert _fastlane_eligible(config) == count_engine
     assert list(monte_carlo(config).values) == want
     assert seeds == list(range(11, 21))
+
+
+@pytest.mark.parametrize("values", [FLAGSHIP_VALUES, Discrete((1, 10), (0.0, 1.0)),
+                                    Pareto(2.0, 1.0)], ids=["discrete", "one-sided", "pareto"])
+def test_draw_arrivals_draws_each_trial_from_its_own_generator(values) -> None:
+    # Trials drawn together get what each generator draws alone: its counts
+    # in one call, then its costs, as Discrete.sample and values.sample do.
+    seeds = range(5, 12)
+    counts, costs = simulate._draw_arrivals([np.random.default_rng(s) for s in seeds], 40,
+                                            FLAGSHIP_COUNTS, values)
+    assert counts.shape == (len(seeds), 40) and counts.dtype == np.int64
+    assert costs.dtype == np.float64
+    want = []
+    for seed, row in zip(seeds, counts):
+        rng = np.random.default_rng(seed)
+        assert row.tolist() == FLAGSHIP_COUNTS.sample(rng, 40).tolist(), seed
+        want += values.sample(rng, int(row.sum())).tolist()
+    assert costs.tolist() == want
 
 
 def _first_seed_beyond_floats(config: SimulationConfig) -> int | None:
